@@ -28,7 +28,6 @@ from repro.bca.fast import FastBcaSim
 from repro.catg.bfm import InitiatorBfm
 from repro.catg.target import TargetHarness
 from repro.kernel import Module, Simulator
-from repro.kernel.compiled import CompiledKernel, compile_simulator
 from repro.regression import RegressionRunner
 from repro.regression.testcases import build_test
 from repro.rtl import RtlNode
@@ -87,88 +86,6 @@ def run_fast_mode():
     return sim.run().cycles
 
 
-def run_pin_compiled(node_cls):
-    """run_pin with the compiled levelized kernel attached."""
-    sim, bfms = make_pin_tb(node_cls)
-    compile_simulator(sim)
-    cycles = 0
-    while not all(b.done for b in bfms) and cycles < 100000:
-        sim.step()
-        cycles += 1
-    for _ in range(50):
-        sim.step()
-    label = _VIEW_LABEL[node_cls.__name__] + "_compiled"
-    _KERNEL_TOTALS[label] = sim.stats_snapshot()
-    return cycles
-
-
-# ---------------------------------------------------------------------------
-# Kernel-bound comb-network workload (levelized-kernel showcase).
-#
-# The node testbench above spends most of its wall time inside process
-# bodies (BFMs, monitors, scoreboard hooks), so retiring the delta loop
-# moves its rate only modestly — recorded honestly below.  This workload
-# is the opposite shape: re-convergent combinational "triangles" where
-# the process at depth d reads the stimulus AND every previous row, so
-# the interpreted delta loop re-runs O(depth^2/2) activations per cycle
-# while the levelized kernel runs each of the depth processes exactly
-# once — scheduling, not process bodies, dominates.
-# ---------------------------------------------------------------------------
-
-NET_CONES = 6
-NET_DEPTH = 16
-
-
-def make_comb_network(cones=NET_CONES, depth=NET_DEPTH):
-    sim = Simulator()
-    stims = []
-    for c in range(cones):
-        stim = sim.signal(f"net.c{c}.stim", width=16)
-        rows = [sim.signal(f"net.c{c}.r{d}", width=16) for d in range(depth)]
-        stims.append(stim)
-        for d in range(depth):
-            inputs = (stim,) + tuple(rows[:d])
-            out = rows[d]
-
-            def proc(inputs=inputs, out=out):
-                acc = 1
-                for sig in inputs:
-                    acc = (acc + sig.value) ^ (acc >> 3)
-                out.drive(acc & 0xFFFF)
-
-            sim.add_comb(proc, inputs, name=f"net.c{c}.p{d}")
-    state = {"n": 0}
-
-    def tick():
-        n = state["n"]
-        state["n"] = n + 1
-        # One cone active per cycle; the other cones' levels stay clean,
-        # which is what the dirty-cone ablation measures.
-        stims[n % cones].drive((n * 2654435761 + 1) & 0xFFFF)
-
-    sim.add_clocked(tick, name="net.tick", reads=(), writes=tuple(stims))
-    return sim
-
-
-def _net_rate(kernel, cycles=300, rounds=3):
-    """Best-of-N cycles/s of the comb network under one engine."""
-    best = None
-    for _ in range(rounds):
-        sim = make_comb_network()
-        sim.elaborate()
-        if kernel != "delta":
-            CompiledKernel(
-                sim, dirty_cones=(kernel != "compiled_no_dirty")
-            ).attach()
-        start = time.perf_counter()
-        sim.run(cycles)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    checksum = sum(sig.value for sig in sim.signals)
-    return cycles / best, checksum
-
-
 #: filled by the timed benchmarks, summarized by the final test
 _RESULTS = {}
 
@@ -189,45 +106,6 @@ def test_e5_bca_standalone_speed(benchmark):
     cycles = benchmark(run_fast_mode)
     _RESULTS["bca_fast"] = cycles / benchmark.stats["mean"]
     benchmark.extra_info["cycles_per_second"] = _RESULTS["bca_fast"]
-
-
-def test_e5_rtl_pin_compiled_speed(benchmark):
-    cycles = benchmark(run_pin_compiled, RtlNode)
-    _RESULTS["rtl_compiled"] = cycles / benchmark.stats["mean"]
-    benchmark.extra_info["cycles_per_second"] = _RESULTS["rtl_compiled"]
-
-
-def test_e5_bca_pin_compiled_speed(benchmark):
-    cycles = benchmark(run_pin_compiled, BcaNode)
-    _RESULTS["bca_pin_compiled"] = cycles / benchmark.stats["mean"]
-    benchmark.extra_info["cycles_per_second"] = _RESULTS["bca_pin_compiled"]
-
-
-def test_e5_compiled_floor():
-    """Compiled >= 3x interpreted on the kernel-bound comb network.
-
-    Measured back-to-back in this process (same interpreter, same
-    machine), so the ratio floor is machine-independent.  Also records
-    the dirty-cone ablation: compiled with every level re-evaluated
-    every cycle sits between the two.
-    """
-    delta_rate, delta_sum = _net_rate("delta")
-    compiled_rate, compiled_sum = _net_rate("compiled")
-    nodirty_rate, nodirty_sum = _net_rate("compiled_no_dirty")
-    assert compiled_sum == delta_sum == nodirty_sum  # same fixpoints
-    _RESULTS["comb_network_delta"] = delta_rate
-    _RESULTS["comb_network_compiled"] = compiled_rate
-    _RESULTS["comb_network_compiled_no_dirty"] = nodirty_rate
-    print()
-    print(f"[E5] comb net delta:              {delta_rate:9.0f} cycles/s")
-    print(f"[E5] comb net compiled:           {compiled_rate:9.0f} cycles/s "
-          f"({compiled_rate / delta_rate:.2f}x delta)")
-    print(f"[E5] comb net compiled, no dirty: {nodirty_rate:9.0f} cycles/s "
-          f"({nodirty_rate / delta_rate:.2f}x delta)")
-    assert compiled_rate >= 3.0 * delta_rate
-    # The ablation must show dirty-cone scheduling is load-bearing on
-    # idle cones: full compiled beats compiled-without-skipping.
-    assert compiled_rate > nodirty_rate
 
 
 def test_e5_speed_ordering(benchmark):
@@ -349,22 +227,6 @@ def test_e5_record_results_json():
             for view, stats in sorted(_KERNEL_TOTALS.items())
         },
     }
-    if "rtl_compiled" in _RESULTS:
-        # The compiled-kernel block: the stock node testbench (process-
-        # body-bound, modest gain, reported honestly) and the kernel-
-        # bound comb network where levelization actually pays.
-        payload["kernel_compiled"] = {
-            "kernel": "compiled",
-            "rtl_pin_cycles_per_second": round(_RESULTS["rtl_compiled"], 1),
-            "speedup_vs_delta": round(
-                _RESULTS["rtl_compiled"] / _RESULTS["rtl"], 2
-            ) if _RESULTS.get("rtl") else None,
-            "comb_network": {
-                key: round(_RESULTS[f"comb_network_{key}"], 1)
-                for key in ("delta", "compiled", "compiled_no_dirty")
-                if f"comb_network_{key}" in _RESULTS
-            },
-        }
     path = Path(__file__).with_name("BENCH_sim_speed.json")
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     assert json.loads(path.read_text(encoding="utf-8"))["results"]

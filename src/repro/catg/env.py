@@ -39,14 +39,6 @@ from .target import TargetHarness
 #: The two design views the environment accepts — "the DUT can be RTL or BCA".
 VIEWS = ("rtl", "bca")
 
-#: Accepted simulation-engine selections (mirrors
-#: :data:`repro.kernel.compiled.KERNELS`, duplicated here so validating a
-#: run request does not import the compiled kernel and its analysis
-#: dependencies).  ``delta`` is the interpreted reference loop,
-#: ``compiled`` always attaches the levelized kernel, ``auto`` attaches
-#: it only when the whole combinational graph levelized acyclically.
-KERNELS = ("delta", "compiled", "auto")
-
 
 @dataclass
 class RunResult:
@@ -119,11 +111,6 @@ class VerificationEnv:
     time_processes:
         Opt in to per-process cumulative wall-time accounting in the
         kernel (reported via ``RunResult.process_seconds``).
-    kernel:
-        Simulation engine: ``"delta"`` (interpreted loop, the default),
-        ``"compiled"`` (levelized kernel, byte-identical results), or
-        ``"auto"`` (compiled only when the design levelizes with no
-        feedback islands).
     """
 
     def __init__(
@@ -135,13 +122,9 @@ class VerificationEnv:
         with_arbitration_checker: bool = True,
         telemetry: Optional[Telemetry] = None,
         time_processes: bool = False,
-        kernel: str = "delta",
     ):
         if view not in VIEWS:
             raise ValueError(f"view must be one of {VIEWS}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
-        self.kernel = kernel
         if bugs and view != "bca":
             raise ValueError("bug injection applies to the BCA view only")
         self.config = config
@@ -314,12 +297,6 @@ class VerificationEnv:
         started = time.perf_counter()
         with tele.span("elaborate", **ctx):
             self.sim.elaborate()
-            if self.kernel != "delta":
-                # Imported lazily: the compiled kernel pulls in the
-                # static-analysis layer, which itself builds on this
-                # package — a top-level import would cycle.
-                from ..kernel.compiled import maybe_compile
-                maybe_compile(self.sim, self.kernel)
         timed_out = False
         executed = 0
         with tele.span("run", **ctx):
@@ -378,14 +355,12 @@ def run_test(
     with_arbitration_checker: bool = True,
     telemetry: Optional[Telemetry] = None,
     time_processes: bool = False,
-    kernel: str = "delta",
 ) -> RunResult:
     """Convenience wrapper: build an environment, run one test."""
     env = VerificationEnv(
         config, view=view, bugs=bugs, vcd_path=vcd_path,
         with_arbitration_checker=with_arbitration_checker,
         telemetry=telemetry, time_processes=time_processes,
-        kernel=kernel,
     )
     env.load_test(test)
     return env.run()

@@ -23,13 +23,8 @@ from .simulator import (
     Simulator,
     SimulatorError,
     Tracer,
-    delta_overflow_message,
 )
 from .module import Module
-
-# The compiled levelized kernel lives in repro.kernel.compiled and is
-# imported on demand (it pulls in the static-analysis layer, which this
-# package must not depend on at import time).
 
 __all__ = [
     "Signal",
@@ -45,5 +40,4 @@ __all__ = [
     "Module",
     "MAX_DELTAS",
     "multiple_driver_message",
-    "delta_overflow_message",
 ]

@@ -57,11 +57,10 @@ def multiple_driver_message(
 ) -> str:
     """The canonical :class:`MultipleDriverError` text.
 
-    Every drive path — the guarded elaboration accessors, the
-    post-elaboration fast path, and the compiled levelized kernel —
-    formats conflicts through this one helper, so the diagnostics carry
-    identical process names and wording regardless of how the design is
-    being scheduled.
+    Both drive paths — the guarded elaboration accessors and the
+    post-elaboration fast path — format conflicts through this one
+    helper, so the diagnostics carry identical process names and wording
+    before and after :meth:`~repro.kernel.simulator.Simulator.elaborate`.
     """
     return (
         f"signal {name!r}: driven to {held} by process {held_by} and to "
@@ -328,44 +327,6 @@ class _FastSignal(Signal):
 
     # ``next`` is re-declared so the setter dispatches to the fast drive
     # without an extra method-resolution hop through the base property.
-    @property
-    def next(self) -> int:
-        return self._next
-
-    @next.setter
-    def next(self, value: int) -> None:
-        self.drive(value)
-
-
-class _ElidingSignal(_FastSignal):
-    """Fast signal that elides redundant re-drives of the current value.
-
-    Used by the compiled levelized kernel, and only on signals it can
-    prove have at most one writer (every clocked process declared its
-    write set and the known-writer index holds <= 1 entry).  Driving the
-    already-committed value with nothing pending is then a no-op: the
-    interpreted kernel would schedule the write, commit it, and observe
-    no toggle — same values, same wakes, same VCD bytes — so skipping
-    the schedule/commit round trip is pure overhead removal.
-
-    The single-writer proof matters: on a multi-writer signal an elided
-    first drive would erase the evidence a conflicting second drive is
-    checked against, masking a :class:`MultipleDriverError` the
-    interpreted kernel raises.  Multi-writer signals therefore keep
-    :class:`_FastSignal` semantics.  Elided drives also skip the
-    ``drivers`` bookkeeping (there is no new fact to record: an elided
-    writer has driven the signal before or never changes it).
-    """
-
-    __slots__ = ()
-
-    def drive(self, value: int) -> None:
-        if type(value) is not int:
-            value = int(value)
-        if not self._pending and value == self._value:
-            return
-        _FastSignal.drive(self, value)
-
     @property
     def next(self) -> int:
         return self._next

@@ -61,13 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the batch (default: 1, "
                              "serial; 0 = one per available CPU); the "
                              "summary is byte-identical for any N")
-    parser.add_argument("--kernel", default="delta",
-                        choices=["delta", "compiled", "auto"],
-                        help="simulation engine: the interpreted delta "
-                             "loop (default), the compiled levelized "
-                             "kernel, or auto (compiled only when the "
-                             "design levelizes with no feedback); every "
-                             "artifact is byte-identical across engines")
     parser.add_argument("--no-compare", action="store_true",
                         help="skip the bus-accurate comparison")
     parser.add_argument("--triage", action="store_true",
@@ -196,6 +189,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --jobs must be >= 0, got {args.jobs}",
               file=sys.stderr)
         return 2
+    # An empty list means the flag was given with no values: a batch of
+    # zero runs would only masquerade as a sign-off failure.
+    if args.tests == []:
+        print("error: --tests needs at least one test", file=sys.stderr)
+        return 2
+    if args.seeds == []:
+        print("error: --seeds needs at least one seed", file=sys.stderr)
+        return 2
     if args.resume and not args.journal:
         print("error: --resume requires --journal FILE", file=sys.stderr)
         return 2
@@ -206,6 +207,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.max_retries < 0:
         print(f"error: --max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
+        return 2
+    if args.retry_backoff < 0:
+        print(f"error: --retry-backoff must be >= 0, "
+              f"got {args.retry_backoff}", file=sys.stderr)
         return 2
     if args.workers < 0:
         print(f"error: --workers must be >= 0, got {args.workers}",
@@ -276,7 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             resume=args.resume,
         ),
         unr=args.unr,
-        kernel=args.kernel,
         triage=args.triage,
         workers=args.workers,
         cache_dir=cache_dir,

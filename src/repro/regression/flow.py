@@ -125,7 +125,6 @@ class CommonVerificationFlow:
         jobs: int = 1,
         telemetry: Optional[TelemetryConfig] = None,
         resilience: Optional["ResilienceConfig"] = None,
-        kernel: str = "delta",
         triage: bool = False,
         workers: int = 0,
         cache_dir: Optional[str] = None,
@@ -141,7 +140,6 @@ class CommonVerificationFlow:
         self.analysis = analysis or symbolic
         self.symbolic = symbolic
         self.jobs = jobs
-        self.kernel = kernel
         self.workers = workers
         self.cache_dir = cache_dir
         if incremental and not cache_dir:
@@ -290,7 +288,7 @@ class CommonVerificationFlow:
             [self.config], tests=self.tests, seeds=self.seeds,
             workdir=self.workdir, bca_bugs=self.bca_bugs,
             jobs=self.jobs, telemetry=telemetry, resilience=resilience,
-            kernel=self.kernel, triage=self.triage,
+            triage=self.triage,
             workers=self.workers, cache_dir=self.cache_dir,
             incremental=self.incremental,
         )

@@ -60,11 +60,6 @@ class RunJob:
     #: Which execution attempt this is (0 = first try); the resilience
     #: layer bumps it on retries and the chaos hooks key off it.
     attempt: int = 0
-    #: Simulation engine ("delta" | "compiled" | "auto").  Excluded from
-    #: the batch signature: the compiled kernel's contract is
-    #: byte-identical artifacts, so a journaled batch may be resumed
-    #: under a different engine.
-    kernel: str = "delta"
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,6 @@ def execute_run_job(job: RunJob) -> RunResult:
             bugs=job.bugs if job.view == "bca" else (),
             vcd_path=job.vcd_path,
             with_arbitration_checker=job.with_arbitration_checker,
-            kernel=job.kernel,
         )
         if job.report_stem:
             write_run_reports(job.report_stem, result)
@@ -152,7 +146,6 @@ def execute_run_job(job: RunJob) -> RunResult:
         with_arbitration_checker=job.with_arbitration_checker,
         telemetry=recorder.telemetry,
         time_processes=job.time_processes,
-        kernel=job.kernel,
     )
     if job.report_stem:
         with recorder.span("report", **ctx):

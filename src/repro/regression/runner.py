@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analyzer import AlignmentReport, compare_vcds
 from ..catg.coverage import CoverageModel, build_node_coverage
-from ..catg.env import KERNELS, RunResult
+from ..catg.env import RunResult
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
 from ..telemetry import BatchTelemetry, TelemetryConfig
@@ -360,7 +360,6 @@ class RegressionRunner:
         telemetry: Optional[TelemetryConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
         unr: bool = False,
-        kernel: str = "delta",
         triage: bool = False,
         workers: int = 0,
         cache_dir: Optional[str] = None,
@@ -390,12 +389,6 @@ class RegressionRunner:
         #: default: with it off, every artifact stays byte-identical to a
         #: runner without the feature.
         self.unr = unr
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
-        #: Simulation engine every run executes under; artifacts are
-        #: byte-identical across engines, so it is deliberately excluded
-        #: from the resume journal's batch signature.
-        self.kernel = kernel
         #: Auto-triage failed entries: walk both dumps to the first
         #: divergence, rank the fan-in cone suspects and write a
         #: ``triage.json`` minimal repro per failure.  Requires the
@@ -488,7 +481,6 @@ class RegressionRunner:
             telemetry=telemetry,
             time_processes=telemetry and self.telemetry.time_processes,
             submitted_at=time.time() if telemetry else None,
-            kernel=self.kernel,
         )
 
     def _entry_keys(self) -> List[Tuple[int, str, int]]:
@@ -700,7 +692,7 @@ class RegressionRunner:
             with_arbitration_checker=self.with_arbitration_checker,
             jobs=self.jobs, telemetry=self.telemetry,
             resilience=self.resilience, unr=self.unr,
-            kernel=self.kernel, triage=self.triage,
+            triage=self.triage,
             workers=self.workers, cache_dir=self.cache_dir,
             distributed=self.distributed, incremental=self.incremental,
         )

@@ -4,7 +4,7 @@ The store's contract has three legs, each pinned here:
 
 * **Addressing** — the key is a pure function of what determines a run
   (design sources, config, test, seed, view, BCA bug set, checker
-  flags) and of nothing else (kernel engine, artifact paths, attempt).
+  flags) and of nothing else (telemetry, artifact paths, attempt).
 * **Integrity** — an entry that fails verification (torn, corrupt,
   poisoned, mis-addressed) is never served: it is quarantined with a
   structured diagnostic and the run re-executes.
@@ -87,12 +87,11 @@ def test_key_is_stable_and_coordinate_sensitive():
 
 
 def test_key_ignores_execution_details():
-    """Attempt number, artifact paths, telemetry and the kernel engine
-    describe *how* a run executes, not *what* it computes — none of
-    them may shard the pool."""
+    """Attempt number, artifact paths and telemetry describe *how* a run
+    executes, not *what* it computes — none of them may shard the
+    pool."""
     base = cache_key(_job(), design=DESIGN)
     assert cache_key(_job(attempt=3), design=DESIGN) == base
-    assert cache_key(_job(kernel="compiled"), design=DESIGN) == base
     assert cache_key(_job(telemetry=True, time_processes=True,
                           submitted_at=1.0), design=DESIGN) == base
     assert cache_key(

@@ -42,6 +42,26 @@ def test_delta_overflow_names_toggling_signals():
     assert "t.a" in message or "t.b" in message
 
 
+def test_delta_overflow_after_clock_edge_raises_at_step():
+    """A loop that only starts oscillating once a register is armed
+    elaborates cleanly and overflows on the first clock edge."""
+    sim = Simulator()
+    top = Module(sim, "t")
+    go = top.signal("go")
+    x = top.signal("x")
+    y = top.signal("y")
+    top.comb(lambda: x.drive((1 - y.value) if go.value else 0), [go, y],
+             name="px")
+    top.comb(lambda: y.drive(x.value), [x], name="py")
+    top.clocked(lambda: go.drive(1), name="arm", reads=[], writes=[go])
+    sim.elaborate()
+    with pytest.raises(DeltaOverflowError) as excinfo:
+        sim.step()
+    message = str(excinfo.value)
+    assert "did not settle after 1000 delta cycles" in message
+    assert "t.x" in message or "t.y" in message
+
+
 def test_delta_overflow_harvested_not_raised_in_lint_mode():
     sim, _, _ = _two_signal_loop()
     sim.elaborate(harvest_errors=True)  # must not raise

@@ -171,3 +171,82 @@ def test_comb_only_wakes_on_sensitivity():
     n_calls = len(calls)
     sim.run(3)  # only b changes; proc must not rerun
     assert len(calls) == n_calls
+
+
+def test_comb_feedback_pair_settles_to_fixpoint():
+    # x = max(stim, y), y = x: a structural loop that settles because the
+    # second pass through it changes nothing.
+    sim = Simulator()
+    stim = sim.signal("stim", width=8)
+    x = sim.signal("x", width=8)
+    y = sim.signal("y", width=8)
+    sim.add_comb(lambda: x.drive(max(stim.value, y.value)), [stim, y])
+    sim.add_comb(lambda: y.drive(x.value), [x])
+    sim.add_clocked(lambda: stim.drive((stim.value + 1) & 0xFF))
+    sim.elaborate()
+    sim.run(8)
+    assert (stim.value, x.value, y.value) == (8, 8, 8)
+    assert sim.stat_deltas > 8  # more than one delta per cycle
+
+
+def test_write_unseen_in_dry_run_still_wakes_readers():
+    # pa drives c only when a == 5, which the elaboration dry run (a == 0)
+    # never observes; the delta loop must still wake c's reader.
+    sim = Simulator()
+    a = sim.signal("a", width=8)
+    c = sim.signal("c", width=8)
+    d = sim.signal("d", width=8)
+
+    def pa():
+        if a.value == 5:
+            c.drive(1)
+
+    sim.add_comb(pa, [a])
+    sim.add_comb(lambda: d.drive(c.value + 2), [c])
+    sim.add_clocked(lambda: a.drive((a.value + 1) & 0xFF))
+    sim.elaborate()
+    assert d.value == 2
+    sim.run(8)
+    assert (c.value, d.value) == (1, 3)
+
+
+def test_stats_snapshot_counts_simulated_activity_only():
+    # Clocked counter feeding a 3-deep comb chain: every cycle activates
+    # the register plus all three comb stages, one per delta, and a
+    # fourth delta finds nothing sensitive to the chain's output.
+    sim = Simulator()
+    a = sim.signal("a", width=8)
+    b = sim.signal("b", width=8)
+    c = sim.signal("c", width=8)
+    d = sim.signal("d", width=8)
+    sim.add_comb(lambda: b.drive((a.value + 1) & 0xFF), [a])
+    sim.add_comb(lambda: c.drive((b.value + 1) & 0xFF), [b])
+    sim.add_comb(lambda: d.drive((c.value + 1) & 0xFF), [c])
+    sim.add_clocked(lambda: a.drive((a.value + 1) & 0xFF))
+    sim.elaborate()
+    sim.run(10)
+    assert (a.value, d.value) == (10, 13)
+    assert sim.stats_snapshot() == {
+        "cycles": 10,
+        "delta_iterations": 40,
+        "process_activations": 40,
+        "signal_commits": 40,
+        "signal_toggles": 40,
+    }
+
+
+def test_process_timing_records_every_process():
+    sim = Simulator()
+    a = sim.signal("a", width=8)
+    b = sim.signal("b", width=8)
+    sim.add_comb(lambda: b.drive(a.value), [a], name="follow")
+    sim.add_clocked(lambda: a.drive((a.value + 1) & 0xFF), name="tick")
+    sim.enable_process_timing()
+    sim.elaborate()
+    sim.run(6)
+    assert b.value == 6
+    times = sim.process_times()
+    assert set(times) == {"tick", "follow"}
+    # The elaboration dry run is excluded: one activation per cycle each.
+    assert times["tick"][0] == 6
+    assert times["follow"][0] == 6

@@ -131,48 +131,28 @@ def test_regression_cli_parallel_smoke(tmp_path, capsys):
     assert os.path.exists(tmp_path / "out" / "regression_summary.txt")
 
 
-def test_regression_cli_kernel_flag_byte_identical(tmp_path, capsys):
-    """--kernel compiled must reproduce the delta run's stdout and every
-    workdir artifact byte for byte."""
-    import filecmp
+@pytest.mark.parametrize("flags, named", [
+    (["--jobs", "-1"], "--jobs"),
+    (["--retry-backoff", "-1"], "--retry-backoff"),
+    (["--seeds"], "--seeds"),
+    (["--tests"], "--tests"),
+], ids=["negative-jobs", "negative-retry-backoff", "empty-seeds",
+        "empty-tests"])
+def test_regression_cli_rejects_bad_flag(tmp_path, capsys, monkeypatch,
+                                         flags, named):
+    """A bad flag value is a usage error (exit 2, one ``error:`` line)
+    caught before any configuration is linted or simulated."""
+    import repro.regression.cli as cli
 
-    cfg = NodeConfig(n_initiators=2, n_targets=2, name="clikern")
+    def no_lint(*args, **kwargs):
+        raise AssertionError("flag validation must precede the lint gate")
+
+    monkeypatch.setattr(cli, "_lint_gate", no_lint)
+    cfg = NodeConfig(n_initiators=1, n_targets=1, name="clibadflag")
     save_config_dir([cfg], str(tmp_path / "cfgs"))
-    outputs = {}
-    codes = {}
-    for kernel in ("delta", "compiled"):
-        out_dir = tmp_path / f"out_{kernel}"
-        codes[kernel] = regression_main([
-            str(tmp_path / "cfgs"),
-            "--workdir", str(out_dir),
-            "--tests", "t02_random_uniform",
-            "--seeds", "1",
-            "--kernel", kernel,
-        ])
-        outputs[kernel] = capsys.readouterr().out
-    # One test case alone does not reach full coverage, so the batch is
-    # not signed off — identically on both engines.
-    assert codes["compiled"] == codes["delta"]
-    assert outputs["compiled"] == outputs["delta"]
-    delta_dir, compiled_dir = tmp_path / "out_delta", tmp_path / "out_compiled"
-    names = sorted(os.listdir(delta_dir))
-    assert names == sorted(os.listdir(compiled_dir))
-    for name in names:
-        assert filecmp.cmp(str(delta_dir / name), str(compiled_dir / name),
-                           shallow=False), f"{name} differs across kernels"
-
-
-def test_regression_cli_rejects_unknown_kernel(tmp_path, capsys):
-    cfg = NodeConfig(n_initiators=1, n_targets=1, name="clikernbad")
-    save_config_dir([cfg], str(tmp_path / "cfgs"))
-    with pytest.raises(SystemExit):
-        regression_main([str(tmp_path / "cfgs"), "--kernel", "turbo"])
-    assert "--kernel" in capsys.readouterr().err
-
-
-def test_regression_cli_rejects_negative_jobs(tmp_path, capsys):
-    cfg = NodeConfig(n_initiators=1, n_targets=1, name="clineg")
-    save_config_dir([cfg], str(tmp_path / "cfgs"))
-    code = regression_main([str(tmp_path / "cfgs"), "--jobs", "-1"])
+    code = regression_main([str(tmp_path / "cfgs"), *flags])
+    err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert named in err[0]
