@@ -176,7 +176,7 @@ def test_e5_regression_throughput(tmp_path):
     """Serial vs parallel batch over the same work list.
 
     The speedup assertion is core-count-aware: on a single-CPU box a
-    process pool cannot beat serial, so we only require that it is not
+    set of worker processes cannot beat serial, so we only require that it is not
     pathologically slower; with four or more CPUs we require a real
     (>= 2x) speedup, per the engine's design goal.
     """
@@ -201,7 +201,7 @@ def test_e5_regression_throughput(tmp_path):
     elif cpus >= 2:
         assert serial_s / parallel_s >= 1.2
     else:
-        # One CPU: the pool only adds overhead; bound it.
+        # One CPU: the workers only add overhead; bound it.
         assert parallel_s <= serial_s * 2.0
 
 

@@ -59,8 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(experiments only)")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for the batch (default: 1, "
-                             "serial; 0 = one per available CPU); the "
-                             "summary is byte-identical for any N")
+                             "in-process serial; 0 = one per available "
+                             "CPU).  N > 1, or 1 with --run-timeout, forks "
+                             "N lease-holding workers; a worker that dies "
+                             "or hangs is charged to the one job it held. "
+                             " The summary is byte-identical for any N")
     parser.add_argument("--no-compare", action="store_true",
                         help="skip the bus-accurate comparison")
     parser.add_argument("--triage", action="store_true",
@@ -92,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="SECONDS",
                             help="wall-clock deadline per run/comparison; "
                                  "a run past it is killed and recorded as "
-                                 "TIMEOUT (default: no deadline)")
+                                 "TIMEOUT (default: no deadline).  Runs "
+                                 "execute on leased workers so there is a "
+                                 "process to kill")
     resilience.add_argument("--max-retries", type=int, default=2,
                             metavar="N",
                             help="retries for a crashed/timed-out job "
@@ -110,30 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="replay completed runs from --journal "
                                  "and execute only the remainder "
                                  "(requires --journal)")
-    cluster = parser.add_argument_group(
-        "distributed execution and result cache",
-        "Shard the batch across leased worker processes and/or serve "
-        "repeated runs from a content-addressed result cache.  Either "
-        "way every artifact stays byte-identical to a plain local "
-        "batch.",
+    caching = parser.add_argument_group(
+        "result cache",
+        "Serve repeated runs from a content-addressed result cache.  "
+        "Every artifact stays byte-identical to an uncached batch.",
     )
-    cluster.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="distributed worker processes (spawned as "
-                              "python -m repro.regression.worker over "
-                              "loopback TCP); 0 (default) keeps the "
-                              "batch local; if no worker is reachable "
-                              "the batch degrades to local execution "
-                              "with a warning")
-    cluster.add_argument("--cache-dir", metavar="DIR", default=None,
+    caching.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="root of the content-addressed result "
                               "cache; verified hits replay runs without "
                               "simulating, corrupt entries are "
                               "quarantined and re-executed (default: "
                               "$REPRO_CACHE_DIR if set)")
-    cluster.add_argument("--no-cache", action="store_true",
+    caching.add_argument("--no-cache", action="store_true",
                          help="disable the result cache even when "
                               "REPRO_CACHE_DIR is set")
-    cluster.add_argument("--incremental", action="store_true",
+    caching.add_argument("--incremental", action="store_true",
                          help="key cache entries on cone-scoped semantic "
                               "fingerprints (python -m repro.analysis "
                               "impact) instead of the monolithic "
@@ -212,10 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --retry-backoff must be >= 0, "
               f"got {args.retry_backoff}", file=sys.stderr)
         return 2
-    if args.workers < 0:
-        print(f"error: --workers must be >= 0, got {args.workers}",
-              file=sys.stderr)
-        return 2
     if args.cache_dir and args.no_cache:
         print("error: --cache-dir conflicts with --no-cache",
               file=sys.stderr)
@@ -282,7 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
         unr=args.unr,
         triage=args.triage,
-        workers=args.workers,
         cache_dir=cache_dir,
         incremental=args.incremental,
     )

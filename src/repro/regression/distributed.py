@@ -1,69 +1,71 @@
-"""Distributed coordinator of the fault-tolerant regression service.
+"""Leased-worker executor: the parallel path of the regression batch.
 
-:class:`DistributedBatchExecutor` shards a batch's run/compare/triage
-jobs across worker *processes* speaking the framed-JSON protocol of
-:mod:`repro.regression.protocol` over loopback TCP.  Workers are
-spawned with ``python -m repro.regression.worker`` (the spawn command
-is pluggable — :data:`SPAWN_ENV` or ``DistributedConfig.spawn_command``
-— which is where remote hosts slot in later).
+:class:`DistributedBatchExecutor` runs a batch's run/compare/triage
+jobs on N worker processes that speak the framed-JSON protocol of
+:mod:`repro.regression.protocol` over loopback TCP.  Workers are forked
+from the coordinator, so they inherit its imports and start in
+milliseconds; each one runs :func:`repro.regression.worker.serve`.
+``jobs=N`` forks N workers; ``jobs=1`` with a ``run_timeout`` forks one,
+because a deadline needs a process to kill.
 
 Ownership of a job is a **lease**: a worker holds at most one job, kept
-alive by heartbeats.  A lease whose heartbeats stop (killed worker,
-network partition) is reclaimed — the job is charged one attempt and
-re-queued under the existing retry/backoff/quarantine policy of
+alive by heartbeats.  When a worker dies, goes silent past
+``lease_seconds`` or overruns ``run_timeout``, the coordinator knows
+exactly which job it held: that job alone is charged one attempt and
+re-queued under the retry/backoff/quarantine policy of
 :class:`~repro.regression.resilience.ResilientBatchExecutor`, of which
-this class is a subclass: every completion, failure, journal append and
-compare/triage hand-off goes through the exact same bookkeeping as the
-serial and pool engines.  That is the whole byte-identity argument —
-the distributed layer only changes *where* a job runs, never what a
-completed batch contains.
+this class is a subclass — every completion, failure, journal append
+and compare/triage hand-off goes through the same bookkeeping as the
+serial path.  That is the whole byte-identity argument: this layer only
+changes *where* a job runs, never what a completed batch contains.
 
-Degradation ladder, worst first:
-
-* a worker dies or goes silent → its lease is reclaimed, the job
-  retried, the worker respawned (bounded by ``max_respawns``);
-* every worker is dead and the respawn budget is spent → the remainder
-  of the batch drains through the serial isolated-child path;
-* no worker ever connects → one warning line, then the whole batch
-  falls back to the local resilient executor.  Never a failure.
+The coordinator is one thread: a selector watches the listener and
+every worker connection, so forking a replacement mid-batch copies no
+other thread's half-held lock.  A replacement worker is forked only for
+a worker lost while holding a lease.  That loss was charged to a job,
+so ``max_retries`` already bounds the respawns.  If no worker ever
+joins, or none is left alive while work is pending, one warning line
+is printed and the rest of the batch runs in-process.  Never a failure.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-import os
-import queue
-import shlex
+import multiprocessing
+import selectors
 import socket
-import subprocess
 import sys
-import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from . import worker as worker_module
 from .protocol import (
     FrameConnection,
     ProtocolError,
     decode_payload,
     encode_payload,
 )
-from .resilience import _TICK, ResilientBatchExecutor, _Task
+from .resilience import ResilientBatchExecutor, RunFailure, _Task
 
-#: Environment override for the worker spawn command (shlex syntax);
-#: the coordinator appends ``--connect/--token/--worker-id``.
-SPAWN_ENV = "REPRO_WORKER_SPAWN"
+#: Poll interval (seconds) of the scheduling loop's watchdogs.
+_TICK = 0.05
+
+#: Seconds a peer may take to deliver the rest of a frame once its
+#: first bytes are readable; past it the connection counts as lost.
+_FRAME_TIMEOUT = 10.0
+
+#: Workers are forked: they inherit the coordinator's imports (and any
+#: instrumentation installed before the batch started).
+_FORK = multiprocessing.get_context("fork")
 
 
 @dataclass(frozen=True)
 class DistributedConfig:
-    """Cluster knobs for one distributed batch."""
+    """Lease knobs for a batch on leased workers."""
 
-    #: Worker processes to spawn.
-    workers: int = 2
     #: A lease whose worker has been silent this long is reclaimed and
     #: its job re-queued (the worker, presumed gone, is killed).
     lease_seconds: float = 15.0
@@ -71,21 +73,9 @@ class DistributedConfig:
     #: comfortably below ``lease_seconds``.
     heartbeat_seconds: float = 0.5
     #: How long to wait for the first worker to dial back before
-    #: degrading to the local executor (also the per-worker join
-    #: deadline after which an unconnected spawn is reaped).
+    #: running the batch in-process (also the per-worker join deadline
+    #: after which an unconnected worker is reaped).
     spawn_timeout: float = 30.0
-    #: Replacement workers allowed over the batch (``None`` → twice the
-    #: cluster size).  The budget bounds a crash-looping design.
-    max_respawns: Optional[int] = None
-    #: Spawn command override (tests swap in broken/instrumented
-    #: workers); default is ``python -m repro.regression.worker``.
-    spawn_command: Optional[Tuple[str, ...]] = None
-
-    @property
-    def respawn_budget(self) -> int:
-        if self.max_respawns is not None:
-            return self.max_respawns
-        return 2 * self.workers
 
 
 class _Lease:
@@ -106,8 +96,7 @@ class _Worker:
     __slots__ = ("ident", "proc", "spawned_at", "conn", "pid", "lease",
                  "dead")
 
-    def __init__(self, ident: str, proc: subprocess.Popen,
-                 now: float) -> None:
+    def __init__(self, ident: str, proc, now: float) -> None:
         self.ident = ident
         self.proc = proc
         self.spawned_at = now
@@ -122,187 +111,206 @@ class _Worker:
 
 
 class DistributedBatchExecutor(ResilientBatchExecutor):
-    """Run a regression batch across leased worker processes.
+    """Run a regression batch on ``jobs`` leased worker processes.
 
     Everything the base class owns — results, journal, retry budget,
     compare/triage scheduling, the result cache — stays with the
     coordinator; workers are stateless executors.
     """
 
-    def __init__(self, jobs_by_key, *,
+    def __init__(self, jobs_by_key, *, jobs: int,
                  distributed: Optional[DistributedConfig] = None,
                  **kwargs) -> None:
         super().__init__(jobs_by_key, **kwargs)
+        self.jobs = jobs
         self.distributed = distributed or DistributedConfig()
-        self._events: "queue.Queue[tuple]" = queue.Queue()
+        self._selector = selectors.DefaultSelector()
         self._workers: Dict[str, _Worker] = {}
         self._listener: Optional[socket.socket] = None
         self._token = uuid.uuid4().hex
-        self._respawns = 0
         self._job_seq = 0
+        self._task_seq = 0
         self._port: Optional[int] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def execute(self):
-        joined = 0
+        leftovers: Optional[List[_Task]] = None
         try:
-            joined = self._start_cluster()
-        except OSError as exc:
-            self.faults.note("cluster.error", error=str(exc))
-        if not joined:
-            self._teardown_cluster()
-            print(
-                "regression: no distributed workers reachable; degrading "
-                "to the local resilient executor", file=sys.stderr)
-            self.faults.degraded_local = True
-            self.faults.note("cluster.degraded-local",
-                             workers=self.distributed.workers)
-            return super().execute()
-        try:
-            self._execute_distributed()
+            try:
+                joined = self._start_cluster()
+            except OSError as exc:
+                self.faults.note("cluster.error", error=str(exc))
+                joined = 0
+            if joined:
+                leftovers = self._execute_leased()
         finally:
             self._teardown_cluster()
-        return (self.results, self.alignments, self.compare_telemetry,
-                self.compare_failures, self.triages, self.triage_telemetry,
-                self.faults)
+        if leftovers is None or leftovers:
+            self._finish_in_process(leftovers or [])
+        return self._outcome()
+
+    def _finish_in_process(self, leftovers: Sequence[_Task]) -> None:
+        """No worker is left to lease to: run ``leftovers`` (which keep
+        their failure history) and then everything else still due."""
+        print("regression: no distributed workers reachable; finishing "
+              "the batch in-process", file=sys.stderr)
+        self.faults.degraded_local = True
+        self.faults.note("cluster.degraded-local", workers=self.jobs,
+                         pending=len(leftovers))
+        for task in leftovers:
+            self._run_task_blocking(task)
+        self._execute_serial()
 
     def _start_cluster(self) -> int:
-        """Open the listener, spawn the cluster, wait for first contact.
+        """Open the listener, fork the workers, wait for first contact.
 
         Returns the number of joined workers — zero means nobody dialed
-        back (every spawn exited, or the timeout passed) and the caller
-        degrades to local execution."""
+        back (every worker exited, or the timeout passed)."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
-        listener.listen(self.distributed.workers + 4)
+        listener.listen(self.jobs + 4)
         self._listener = listener
         self._port = listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-        for _ in range(self.distributed.workers):
+        self._selector.register(listener, selectors.EVENT_READ)
+        for _ in range(self.jobs):
             self._spawn_worker()
-        idle: Deque[_Task] = deque()
         deadline = time.monotonic() + self.distributed.spawn_timeout
         while time.monotonic() < deadline:
             if any(worker.joined for worker in self._workers.values()):
                 break
-            if (all(worker.proc.poll() is not None
-                    for worker in self._workers.values())
-                    and self._events.empty()):
-                break  # every spawn is already dead; fail fast
-            try:
-                event = self._events.get(timeout=_TICK)
-            except queue.Empty:
-                continue
-            self._handle_event(event, idle, [], time.monotonic())
+            if all(not worker.proc.is_alive()
+                   for worker in self._workers.values()):
+                break  # every worker is already dead; fail fast
+            self._poll(deque(), [])
         return sum(1 for worker in self._workers.values() if worker.joined)
-
-    def _spawn_command(self) -> Sequence[str]:
-        if self.distributed.spawn_command:
-            return self.distributed.spawn_command
-        text = os.environ.get(SPAWN_ENV)
-        if text:
-            return shlex.split(text)
-        return (sys.executable, "-m", "repro.regression.worker")
 
     def _spawn_worker(self) -> _Worker:
         ident = f"w{len(self._workers)}"
-        command = list(self._spawn_command()) + [
-            "--connect", f"127.0.0.1:{self._port}",
-            "--token", self._token, "--worker-id", ident,
-        ]
-        proc = subprocess.Popen(
-            command, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+        # ``worker_module.serve`` is looked up per fork, so tests can
+        # substitute the entry point.
+        proc = _FORK.Process(
+            target=worker_module.serve,
+            args=("127.0.0.1", self._port, self._token, ident),
+            name=f"repro-worker-{ident}", daemon=True)
+        proc.start()
         worker = _Worker(ident, proc, time.monotonic())
         self._workers[ident] = worker
         return worker
 
     def _teardown_cluster(self) -> None:
         for worker in self._workers.values():
-            if worker.conn is not None:
+            if worker.lease is not None:
+                # Interrupted mid-job: the result is no longer wanted.
+                worker.proc.kill()
+            elif worker.conn is not None:
                 try:
                     worker.conn.send({"type": "shutdown"})
                 except OSError:
                     pass
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._selector.unregister(self._listener)
+            self._listener.close()
             self._listener = None
         grace = time.monotonic() + 2.0
         for worker in self._workers.values():
-            while (worker.proc.poll() is None
-                    and time.monotonic() < grace):
-                time.sleep(0.02)
-            if worker.proc.poll() is None:
-                try:
-                    worker.proc.kill()
-                except OSError:
-                    pass
-            try:
-                worker.proc.wait(timeout=5)
-            except Exception:
-                pass
+            worker.proc.join(max(0.0, grace - time.monotonic()))
+            if worker.proc.exitcode is None:
+                worker.proc.kill()
+                worker.proc.join(5)
             if worker.conn is not None:
-                worker.conn.close()
+                self._close(worker.conn)
                 worker.conn = None
+        for key in list(self._selector.get_map().values()):
+            self._close(key.data)  # connected, never said hello
+        self._selector.close()
 
-    # -- connection plumbing (reader threads feed one event queue) ----------
+    # -- connections: one selector, read from the scheduling thread ---------
 
-    def _accept_loop(self) -> None:
-        # Hold a local reference: teardown nulls the attribute right
-        # after closing the socket, and this thread may be mid-accept.
-        listener = self._listener
-        while True:
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return  # listener closed: batch is over
-            threading.Thread(target=self._serve_connection, args=(sock,),
-                             daemon=True).start()
+    def _poll(self, ready: Deque[_Task], backoff: list) -> None:
+        """Wait up to one tick for socket activity and handle all of it."""
+        for key, _ in self._selector.select(_TICK):
+            if key.data is None:
+                self._accept()
+            elif isinstance(key.data, _Worker):
+                self._read(key.data, ready, backoff)
+            else:
+                self._admit(key.data)
 
-    def _serve_connection(self, sock: socket.socket) -> None:
-        conn = FrameConnection(sock)
+    def _accept(self) -> None:
         try:
-            sock.settimeout(10.0)
+            sock, _ = self._listener.accept()
+        except OSError:
+            return
+        sock.settimeout(_FRAME_TIMEOUT)
+        conn = FrameConnection(sock)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _admit(self, conn: FrameConnection) -> None:
+        """Read a new connection's hello: bind it to the worker it names
+        (token checked) or drop it."""
+        try:
             hello = conn.recv()
-            sock.settimeout(None)
         except (ProtocolError, OSError):
-            conn.close()
+            hello = None
+        worker = None
+        if (hello is not None and hello.get("type") == "hello"
+                and hello.get("token") == self._token
+                and isinstance(hello.get("worker_id"), str)):
+            worker = self._workers.get(hello["worker_id"])
+        if worker is None or worker.dead or worker.conn is not None:
+            self._close(conn)
             return
-        if (not hello or hello.get("type") != "hello"
-                or hello.get("token") != self._token
-                or hello.get("worker_id") not in self._workers):
-            conn.close()
-            return
-        ident = hello["worker_id"]
-        self._events.put(("joined", ident, conn, hello.get("pid")))
-        while True:
-            try:
-                frame = conn.recv()
-            except ProtocolError:
-                # Poisoned connection (e.g. a corrupt result frame):
-                # drop the worker rather than guess at the bytes.
-                self._events.put(("lost", ident, "protocol-error"))
-                return
-            except OSError:
-                self._events.put(("lost", ident, "closed"))
-                return
-            if frame is None:
-                self._events.put(("lost", ident, "closed"))
-                return
-            self._events.put(("frame", ident, frame))
+        self._selector.modify(conn.sock, selectors.EVENT_READ, worker)
+        worker.conn = conn
+        worker.pid = hello.get("pid")
+        self.faults.note("worker.joined", worker=worker.ident,
+                         pid=worker.pid)
+
+    def _read(self, worker: _Worker, ready: Deque[_Task],
+              backoff: list) -> None:
+        try:
+            frame = worker.conn.recv()
+            reason = "closed"
+        except ProtocolError:
+            # Poisoned connection (e.g. a corrupt result frame): drop
+            # the worker rather than guess at the bytes.
+            frame, reason = None, "protocol-error"
+        except OSError:
+            frame, reason = None, "closed"
+        now = time.monotonic()
+        if frame is None:
+            lease = worker.lease
+            self._lose(worker, reason)
+            if lease is not None:
+                self._fail(lease.task, self._worker_lost_failure(
+                    lease.task, "WorkerLost",
+                    f"worker {worker.ident} was lost ({reason}) while "
+                    "executing this job"), backoff, now)
+        elif frame["type"] == "heartbeat":
+            lease = worker.lease
+            if lease is not None and lease.job_id == frame.get("job_id"):
+                lease.last_beat = now
+        elif frame["type"] == "result":
+            self._on_result(worker, frame, ready, backoff, now)
+
+    def _close(self, conn: FrameConnection) -> None:
+        self._selector.unregister(conn.sock)
+        conn.close()
 
     # -- the scheduling loop ------------------------------------------------
 
-    def _execute_distributed(self) -> None:
+    def _execute_leased(self) -> List[_Task]:
+        """Lease jobs to workers until the batch is done.  Returns the
+        tasks still pending when no worker is left alive (empty when the
+        batch completed)."""
         ready: Deque[_Task] = deque()
         for key, job in self.jobs_by_key.items():
             if key not in self.results:
                 ready.append(_Task("run", key, job))
         for entry_key in self._entry_order:
+            # Resumed entries may already carry runs or an alignment.
             for maker in (self._compare_task, self._triage_task):
                 task = maker(entry_key)
                 if task is not None:
@@ -314,35 +322,15 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
             self._enforce_leases(ready, backoff, now)
             while backoff and backoff[0][0] <= now:
                 ready.append(heapq.heappop(backoff)[2])
-            leased = sum(1 for worker in self._workers.values()
-                         if not worker.dead and worker.lease is not None)
-            if not ready and not backoff and not leased:
-                return
-            alive = sum(1 for worker in self._workers.values()
-                        if not worker.dead)
-            if (alive == 0
-                    and self._respawns >= self.distributed.respawn_budget):
-                self.faults.degraded_serial = True
-                self.faults.note(
-                    "cluster.exhausted", respawns=self._respawns,
-                    detail="every worker is dead and the respawn budget "
-                           "is spent; finishing the batch serially in "
-                           "isolated child processes")
-                self._drain_degraded(ready, backoff)
-                return
-            self._ensure_capacity(len(ready) + len(backoff) + leased)
+            alive = [worker for worker in self._workers.values()
+                     if not worker.dead]
+            if (not ready and not backoff
+                    and not any(worker.lease for worker in alive)):
+                return []
+            if not alive:
+                return list(ready) + [task for _, _, task in sorted(backoff)]
             self._dispatch(ready, now)
-            try:
-                event = self._events.get(timeout=_TICK)
-            except queue.Empty:
-                continue
-            self._handle_event(event, ready, backoff, time.monotonic())
-            while True:
-                try:
-                    event = self._events.get_nowait()
-                except queue.Empty:
-                    break
-                self._handle_event(event, ready, backoff, time.monotonic())
+            self._poll(ready, backoff)
 
     def _dispatch(self, ready: Deque[_Task], now: float) -> None:
         idle = [worker for worker in self._workers.values()
@@ -363,53 +351,42 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                 })
             except OSError:
                 # Never reached the worker: free requeue, no attempt
-                # charged; the reader thread will report the loss too,
-                # but the worker is dead by then and it is ignored.
+                # charged.
                 worker.lease = None
                 ready.appendleft(task)
                 self._mark_dead(worker, "send-failed")
 
-    def _ensure_capacity(self, pending: int) -> None:
-        alive = sum(1 for worker in self._workers.values()
-                    if not worker.dead)
-        want = min(self.distributed.workers, pending)
-        while (alive < want
-                and self._respawns < self.distributed.respawn_budget):
-            worker = self._spawn_worker()
-            self._respawns += 1
-            self.faults.worker_respawns += 1
-            self.faults.note("worker.respawned", worker=worker.ident,
-                             respawns=self._respawns,
-                             budget=self.distributed.respawn_budget)
-            alive += 1
+    def _fail(self, task: _Task, failure: RunFailure, backoff: list,
+              now: float) -> None:
+        """Charge ``task`` one failed attempt; schedule its retry."""
+        delay = self._register_failure(task, failure)
+        if delay is not None:
+            self._task_seq += 1
+            heapq.heappush(backoff, (now + delay, self._task_seq, task))
 
-    # -- event handling -----------------------------------------------------
+    # -- structured failures for jobs a worker never finished ---------------
 
-    def _handle_event(self, event: tuple, ready: Deque[_Task],
-                      backoff: list, now: float) -> None:
-        kind, ident = event[0], event[1]
-        worker = self._workers.get(ident)
-        if worker is None or worker.dead:
-            if kind == "joined":
-                event[2].close()  # stale hello from a reaped worker
-            return
-        if kind == "joined":
-            worker.conn = event[2]
-            worker.pid = event[3]
-            self.faults.note("worker.joined", worker=worker.ident,
-                             pid=worker.pid)
-            return
-        if kind == "lost":
-            self._on_worker_lost(worker, event[2], ready, backoff, now)
-            return
-        frame = event[2]
-        frame_type = frame.get("type")
-        if frame_type == "heartbeat":
-            lease = worker.lease
-            if lease is not None and lease.job_id == frame.get("job_id"):
-                lease.last_beat = now
-        elif frame_type == "result":
-            self._on_result(worker, frame, ready, backoff, now)
+    def _failure(self, task: _Task, kind: str, exc_type: str,
+                 message: str) -> RunFailure:
+        names = task.names
+        return RunFailure(
+            config_name=str(names["config"]), test_name=str(names["test"]),
+            seed=int(names["seed"]), view=str(names["view"]),
+            stage=task.kind, kind=kind, exc_type=exc_type,
+            message=message, attempt=task.job.attempt,
+        )
+
+    def _worker_lost_failure(self, task: _Task, exc_type: str,
+                             message: str) -> RunFailure:
+        return self._failure(task, "ERROR", exc_type, message)
+
+    def _timeout_failure(self, task: _Task) -> RunFailure:
+        return self._failure(
+            task, "TIMEOUT", "WatchdogTimeout",
+            f"exceeded the run deadline of {self.config.run_timeout}s "
+            "and was killed")
+
+    # -- worker events ------------------------------------------------------
 
     def _on_result(self, worker: _Worker, frame: dict,
                    ready: Deque[_Task], backoff: list, now: float) -> None:
@@ -422,47 +399,52 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
                              job_id=frame.get("job_id"))
             return
         worker.lease = None
+        # The worker idles until its next lease: hand that out before
+        # the bookkeeping below.
+        self._dispatch(ready, now)
+        task = lease.task
         try:
-            outcome = decode_payload(frame["outcome"])
+            status, payload = decode_payload(frame["outcome"])
         except Exception as exc:
-            failure = dataclasses.replace(
-                self._pool_crash_failure(lease.task),
-                exc_type="UndecodableResult",
-                message=f"worker {worker.ident} returned an undecodable "
-                        f"result payload: {exc}")
-            delay = self._register_failure(lease.task, failure)
-            if delay is not None:
-                self._push_backoff(backoff, now + delay, lease.task)
+            self._fail(task, self._worker_lost_failure(
+                task, "UndecodableResult",
+                f"worker {worker.ident} returned an undecodable result "
+                f"payload: {exc}"), backoff, now)
             return
-        self._handle_outcome(lease.task, outcome, ready, backoff, now)
+        if status != "ok":
+            self._fail(task, payload, backoff, now)
+            return
+        self._complete(task, payload)
+        if task.kind == "run":
+            follow_up = self._compare_task(task.key[:3])
+        elif task.kind == "compare":
+            follow_up = self._triage_task(task.key)
+        else:
+            follow_up = None
+        if follow_up is not None:
+            ready.append(follow_up)
 
-    def _on_worker_lost(self, worker: _Worker, reason: str,
-                        ready: Deque[_Task], backoff: list,
-                        now: float) -> None:
-        lease, worker.lease = worker.lease, None
+    def _lose(self, worker: _Worker, reason: str) -> None:
+        """Drop ``worker``; if it held a lease, fork its replacement (the
+        caller charges the job, so retries bound the respawns)."""
+        held_lease = worker.lease is not None
+        worker.lease = None
         self._mark_dead(worker, reason)
-        if lease is None:
-            return
-        failure = dataclasses.replace(
-            self._pool_crash_failure(lease.task), exc_type="WorkerLost",
-            message=f"distributed worker {worker.ident} was lost "
-                    f"({reason}) while executing this job")
-        delay = self._register_failure(lease.task, failure)
-        if delay is not None:
-            self._push_backoff(backoff, now + delay, lease.task)
+        if held_lease:
+            replacement = self._spawn_worker()
+            self.faults.worker_respawns += 1
+            self.faults.note("worker.respawned", worker=replacement.ident,
+                             replaces=worker.ident)
 
     def _mark_dead(self, worker: _Worker, reason: str) -> None:
         if worker.dead:
             return
         worker.dead = True
         if worker.conn is not None:
-            worker.conn.close()
+            self._close(worker.conn)
             worker.conn = None
-        if worker.proc.poll() is None:
-            try:
-                worker.proc.kill()
-            except OSError:
-                pass
+        if worker.proc.exitcode is None:
+            worker.proc.kill()
         self.faults.worker_deaths += 1
         self.faults.note("worker.lost", worker=worker.ident, reason=reason)
 
@@ -472,39 +454,30 @@ class DistributedBatchExecutor(ResilientBatchExecutor):
         for worker in self._workers.values():
             if worker.dead or worker.conn is not None:
                 continue
-            if worker.proc.poll() is not None:
+            if worker.proc.exitcode is not None:
                 self._mark_dead(worker, "exited-before-join")
             elif now - worker.spawned_at > self.distributed.spawn_timeout:
                 self._mark_dead(worker, "never-joined")
 
     def _enforce_leases(self, ready: Deque[_Task], backoff: list,
                         now: float) -> None:
-        for worker in self._workers.values():
+        for worker in list(self._workers.values()):
             if worker.dead or worker.lease is None:
                 continue
-            lease = worker.lease
+            task = worker.lease.task
             timeout = self.config.run_timeout
-            if timeout is not None and now - lease.started > timeout:
-                worker.lease = None
-                delay = self._register_failure(
-                    lease.task, self._timeout_failure(lease.task))
-                if delay is not None:
-                    self._push_backoff(backoff, now + delay, lease.task)
-                self._mark_dead(worker, "run-timeout")
-                continue
-            silent = now - lease.last_beat
-            if silent > self.distributed.lease_seconds:
-                worker.lease = None
+            silent = now - worker.lease.last_beat
+            if timeout is not None and now - worker.lease.started > timeout:
+                self._lose(worker, "run-timeout")
+                self._fail(task, self._timeout_failure(task), backoff, now)
+            elif silent > self.distributed.lease_seconds:
                 self.faults.lease_reclaims += 1
                 self.faults.note("lease.reclaimed", worker=worker.ident,
                                  silent_seconds=round(silent, 3),
-                                 **lease.task.names)
-                failure = dataclasses.replace(
-                    self._pool_crash_failure(lease.task),
-                    exc_type="LeaseExpired",
-                    message=f"worker {worker.ident} stopped heartbeating "
-                            f"({silent:.1f}s silent); lease reclaimed")
-                delay = self._register_failure(lease.task, failure)
-                if delay is not None:
-                    self._push_backoff(backoff, now + delay, lease.task)
-                self._mark_dead(worker, "lease-expired")
+                                 **task.names)
+                self._lose(worker, "lease-expired")
+                self._fail(task, self._worker_lost_failure(
+                    task, "LeaseExpired",
+                    f"worker {worker.ident} stopped heartbeating "
+                    f"({silent:.1f}s silent); lease reclaimed"),
+                    backoff, now)

@@ -99,12 +99,11 @@ class CommonVerificationFlow:
     iteration (``journal.iter2.jsonl``) so resuming an interrupted
     iteration never replays a previous one.
 
-    ``workers``/``cache_dir`` thread straight into every regression the
-    flow runs: with workers the iterations execute on the distributed
-    leased-worker service, and with a cache the later iterations reuse
-    every run whose coordinates an earlier one already simulated (the
-    fix loop re-runs only what the fix invalidated — BCA entries key on
-    their bug set, the RTL entries hit the cache unchanged).
+    ``cache_dir`` threads straight into every regression the flow runs:
+    with a cache the later iterations reuse every run whose coordinates
+    an earlier one already simulated (the fix loop re-runs only what the
+    fix invalidated — BCA entries key on their bug set, the RTL entries
+    hit the cache unchanged).
     ``incremental=True`` additionally keys the cache on cone-scoped
     semantic fingerprints (:mod:`repro.analysis.impact`), so across
     *source* edits only the entries the edit's fan-out cone can affect
@@ -126,7 +125,6 @@ class CommonVerificationFlow:
         telemetry: Optional[TelemetryConfig] = None,
         resilience: Optional["ResilienceConfig"] = None,
         triage: bool = False,
-        workers: int = 0,
         cache_dir: Optional[str] = None,
         incremental: bool = False,
     ):
@@ -140,7 +138,6 @@ class CommonVerificationFlow:
         self.analysis = analysis or symbolic
         self.symbolic = symbolic
         self.jobs = jobs
-        self.workers = workers
         self.cache_dir = cache_dir
         if incremental and not cache_dir:
             raise ValueError(
@@ -288,8 +285,7 @@ class CommonVerificationFlow:
             [self.config], tests=self.tests, seeds=self.seeds,
             workdir=self.workdir, bca_bugs=self.bca_bugs,
             jobs=self.jobs, telemetry=telemetry, resilience=resilience,
-            triage=self.triage,
-            workers=self.workers, cache_dir=self.cache_dir,
+            triage=self.triage, cache_dir=self.cache_dir,
             incremental=self.incremental,
         )
         return runner.run().configs[0]

@@ -1,29 +1,30 @@
-"""Parallel batch execution for the regression tool.
+"""Job descriptions and job bodies of the regression batch.
 
 The paper's regression tool "runs regression tests in batch mode" across
 many node configurations and seeds; every (config, test, seed, view) run
 is independent of every other — the test factories are deterministic in
 (config, seed), both views rebuild the test from scratch, and each run
 owns its VCD/report files.  That makes the batch embarrassingly
-parallel: this module fans the runs out over a process pool and the
-bus-accurate comparisons out behind them, while the
-:class:`~repro.regression.runner.RegressionRunner` assembles the results
-in the same deterministic order as a serial run — so the final
+parallel.  This module describes each unit of work as a plain picklable
+value — a :class:`RunJob`, :class:`CompareJob` or :class:`TriageJob` —
+and provides the function that executes it.  The executors of
+:mod:`repro.regression.resilience` (in-process serial) and
+:mod:`repro.regression.distributed` (leased worker processes) call the
+same functions, and :class:`~repro.regression.runner.RegressionRunner`
+assembles the results in one deterministic order, so the final
 :class:`~repro.regression.runner.RegressionReport` (entry order,
 coverage merge, sign-off verdict, rendered text) is byte-identical for
 ``jobs=1`` and ``jobs=N``.
 
-Everything that crosses the process boundary is a plain picklable value:
-a :class:`RunJob` in, a :class:`~repro.catg.env.RunResult` (or
-:class:`~repro.analyzer.AlignmentReport`) out.  Workers rebuild the test
-program locally instead of shipping it, exactly as the serial path does.
+Workers rebuild the test program locally from the job instead of
+receiving it, exactly as the serial path does.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from ..analyzer import AlignmentReport, compare_vcds
 from ..catg.env import RunResult, run_test
@@ -115,7 +116,7 @@ def execute_run_job(job: RunJob) -> RunResult:
     inline under ``jobs=1`` — identical code either way.
 
     With ``job.telemetry`` a :class:`~repro.telemetry.RunRecorder` built
-    in *this* process (a pool worker or the parent) records phase spans,
+    in *this* process (a worker or the parent) records phase spans,
     kernel counters and structured log records; the picklable payload
     rides back on ``result.telemetry``.  Artifact bytes are identical
     either way.
@@ -217,44 +218,6 @@ def execute_triage_job(job: TriageJob) -> Tuple[
             telemetry=recorder.telemetry,
         )
     return report, recorder.payload()
-
-
-def execute_batch(
-    jobs_by_key: Dict[RunKey, RunJob],
-    *,
-    jobs: int,
-    compare_waveforms: bool,
-    telemetry: bool = False,
-) -> Tuple[
-    Dict[RunKey, RunResult],
-    Dict[EntryKey, AlignmentReport],
-    Dict[EntryKey, RunTelemetry],
-]:
-    """Execute every run job over ``jobs`` worker processes.
-
-    As soon as both views of an entry finish, its bus-accurate comparison
-    is submitted to the same pool, so comparisons overlap with the
-    remaining simulations instead of waiting behind a barrier.
-
-    Compatibility wrapper over
-    :class:`~repro.regression.resilience.ResilientBatchExecutor` (with
-    the default fault-tolerance policy): a fault-free batch returns
-    byte-identical results to the historical unguarded pool, while a
-    crashed worker or broken pool now yields
-    :class:`~repro.regression.resilience.RunFailure` values in
-    ``results`` instead of aborting the whole batch.
-
-    Returns the run results, the alignment reports, and (when
-    ``telemetry``) the per-comparison telemetry payloads.
-    """
-    from .resilience import ResilientBatchExecutor
-
-    executor = ResilientBatchExecutor(
-        jobs_by_key, jobs=jobs, compare_waveforms=compare_waveforms,
-        telemetry=telemetry,
-    )
-    results, alignments, compare_telemetry = executor.execute()[:3]
-    return results, alignments, compare_telemetry
 
 
 def default_jobs() -> int:

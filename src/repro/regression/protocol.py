@@ -1,5 +1,5 @@
-"""The coordinator↔worker wire protocol of the distributed regression
-service.
+"""The coordinator↔worker wire protocol of the leased-worker regression
+executor.
 
 Deliberately tiny: **length-prefixed JSON frames over TCP**.  Every
 frame is a 4-byte big-endian length followed by that many bytes of
@@ -7,8 +7,8 @@ UTF-8 JSON (one object).  Rich values — jobs, run results, alignment
 reports — ride inside frames as *payload strings*: zlib-compressed
 pickles, base64-armored so they embed in JSON.  That keeps the framing
 layer trivially debuggable (``nc`` + ``head -c`` shows you everything)
-while the payloads reuse the exact picklable job/result values the
-process-pool engine already ships across its own boundary.
+while the payloads are the exact picklable job/result values the
+serial path passes around in-process.
 
 Frame types (``type`` field):
 
@@ -76,6 +76,9 @@ class FrameConnection:
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        # Every frame is one small write answered by the peer: Nagle's
+        # algorithm would hold it back behind an unacknowledged one.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
         self._closed = False
 

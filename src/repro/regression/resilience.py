@@ -2,54 +2,44 @@
 
 The paper's regression tool earns its keep overnight: a batch across
 many configurations and seeds must *finish with a usable report* even
-when individual runs misbehave.  This module wraps the embarrassingly
-parallel scheduler of :mod:`repro.regression.parallel` with four layers
-of protection:
+when individual runs misbehave.  A batch executes on one of two paths —
+in-process serial (``jobs=1``, no deadline; this module) or N forked
+lease-holding workers (:mod:`repro.regression.distributed`) — and both
+share the protection implemented here:
 
-1. **Run-level crash isolation** — every run/compare job executes under
-   a guard that converts any exception (including a truncated or corrupt
-   VCD discovered in the compare stage) into a structured, picklable
-   :class:`RunFailure` carried into the report instead of aborting the
-   batch.
-2. **Wall-clock deadlines** — a parent-side watchdog enforces
-   ``run_timeout`` per job; the existing ``max_cycles`` budget only
-   bounds *simulated* cycles, not a worker stuck in native code.  A
-   timed-out worker is killed, the pool rebuilt, and every innocent
-   in-flight job rescheduled without consuming one of its attempts.
-3. **Bounded retry with backoff + quarantine** — crashed and timed-out
-   jobs are retried up to ``max_retries`` times with exponential
-   backoff; jobs that fail repeatedly are quarantined (excluded from the
-   batch, listed in the report with their failure history).  If the pool
-   itself breaks more than ``max_pool_rebuilds`` times the batch
-   degrades to serial execution in kill-able child processes.
-4. **Journaled checkpoint/resume** — an append-only JSONL journal
+1. **Run-level crash isolation** — every run/compare/triage job executes
+   under a guard that converts any exception (including a truncated or
+   corrupt VCD discovered in the compare stage) into a structured,
+   picklable :class:`RunFailure` carried into the report instead of
+   aborting the batch.  A worker that dies outright, or outlives the
+   ``run_timeout`` deadline, is charged to the one job its lease names.
+2. **Bounded retry with backoff + quarantine** — failed jobs are
+   retried up to ``max_retries`` times with exponential backoff; jobs
+   that fail repeatedly are quarantined (listed in the report with
+   their failure history).
+3. **Journaled checkpoint/resume** — an append-only JSONL journal
    records each completed run with its artifact digests; ``resume``
    replays completed runs from the journal and only executes the
    remainder, so an interrupted batch (Ctrl-C, OOM, machine crash)
    continues instead of restarting.
 
 The invariant throughout: a fault-free batch produces byte-identical
-report artifacts to the unguarded engine, for any ``jobs=N``, serial or
-parallel, with or without resume.
+report artifacts on either path, for any ``jobs=N``, with or without
+resume.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
-import heapq
 import json
-import multiprocessing
 import os
 import pickle
 import time
 import traceback
 import zlib
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ioutil import file_digest
 from . import chaos
@@ -63,9 +53,6 @@ from .parallel import (
     execute_run_job,
     execute_triage_job,
 )
-
-#: Watchdog poll interval (seconds) for the pool scheduling loop.
-_TICK = 0.05
 
 #: Ceiling on a single retry backoff delay.
 _MAX_BACKOFF = 30.0
@@ -92,7 +79,7 @@ class RunFailure:
     test_name: str
     seed: int
     view: str                  # "rtl" | "bca" | "compare"
-    stage: str                 # "run" | "compare"
+    stage: str                 # "run" | "compare" | "triage"
     kind: str                  # "ERROR" | "TIMEOUT"
     exc_type: str
     message: str
@@ -176,6 +163,15 @@ def guarded_execute_triage(job: TriageJob):
         ))
 
 
+#: The guarded wrapper for each task kind; the serial path and every
+#: leased worker execute jobs through this one table.
+GUARDS = {
+    "run": guarded_execute_run,
+    "compare": guarded_execute_compare,
+    "triage": guarded_execute_triage,
+}
+
+
 # ---------------------------------------------------------------------------
 # Configuration and fault accounting
 
@@ -184,17 +180,15 @@ def guarded_execute_triage(job: TriageJob):
 class ResilienceConfig:
     """Fault-tolerance knobs for one regression batch."""
 
-    #: Parent-side wall-clock deadline per run/compare job (seconds);
-    #: ``None`` disables the watchdog.  Under ``jobs=1`` a deadline
-    #: moves execution into kill-able child processes.
+    #: Coordinator-side wall-clock deadline per job (seconds); a worker
+    #: past it is killed.  ``None`` disables it.  A deadline needs a
+    #: worker to kill, so under ``jobs=1`` it moves the batch onto one
+    #: leased worker process.
     run_timeout: Optional[float] = None
     #: Retries after the first failed attempt (total attempts = N + 1).
     max_retries: int = 2
     #: Base backoff delay; attempt *k* waits ``backoff * 2**(k-1)``.
     backoff: float = 0.25
-    #: Unexpected pool breaks tolerated before degrading to serial
-    #: child-process execution.
-    max_pool_rebuilds: int = 3
     #: Append-only JSONL checkpoint journal (``None`` disables it).
     journal_path: Optional[str] = None
     #: Replay completed runs from the journal instead of re-executing.
@@ -218,19 +212,17 @@ class BatchFaults:
     timeouts: int = 0
     compare_failures: int = 0
     triage_failures: int = 0
-    pool_rebuilds: int = 0
     quarantined: List[RunFailure] = field(default_factory=list)
     resumed_runs: int = 0
     resumed_compares: int = 0
     resumed_triages: int = 0
     stale_journal_entries: int = 0
-    degraded_serial: bool = False
-    # Distributed-cluster accounting (all zero for local batches).
+    # Leased-worker accounting (all zero for in-process serial batches).
     lease_reclaims: int = 0
     worker_deaths: int = 0
     worker_respawns: int = 0
-    #: No distributed worker was reachable; the batch ran on the local
-    #: resilient executor instead.
+    #: No leased worker was reachable (none joined, or all died with
+    #: work pending); the rest of the batch ran in-process instead.
     degraded_local: bool = False
     #: Structured fault records for the telemetry run log.
     events: List[dict] = field(default_factory=list)
@@ -248,13 +240,11 @@ class BatchFaults:
             "timeouts": self.timeouts,
             "compare_failures": self.compare_failures,
             "triage_failures": self.triage_failures,
-            "pool_rebuilds": self.pool_rebuilds,
             "quarantined": len(self.quarantined),
             "resumed_runs": self.resumed_runs,
             "resumed_compares": self.resumed_compares,
             "resumed_triages": self.resumed_triages,
             "stale_journal_entries": self.stale_journal_entries,
-            "degraded_serial": self.degraded_serial,
             "lease_reclaims": self.lease_reclaims,
             "worker_deaths": self.worker_deaths,
             "worker_respawns": self.worker_respawns,
@@ -265,7 +255,7 @@ class BatchFaults:
     def clean(self) -> bool:
         return not (self.retries or self.crashes or self.timeouts
                     or self.compare_failures or self.triage_failures
-                    or self.pool_rebuilds or self.quarantined
+                    or self.quarantined
                     or self.stale_journal_entries or self.lease_reclaims
                     or self.worker_deaths)
 
@@ -543,64 +533,12 @@ def replay_journal(
 
 
 # ---------------------------------------------------------------------------
-# Child-process execution (serial-with-deadline and degraded modes)
-
-
-def _child_entry(conn, fn, job) -> None:
-    try:
-        conn.send(fn(job))
-    finally:
-        conn.close()
-
-
-def _execute_in_child(fn, job, timeout: Optional[float]):
-    """Run one guarded job in a dedicated child process.
-
-    Gives the serial path the same isolation a pool worker has — a hard
-    crash or hang kills the child, never the batch — and makes deadlines
-    enforceable with a plain ``kill()``.  Returns the guarded outcome
-    tuple, ``("timeout", None)`` or ``("died", exitcode)``.
-    """
-    ctx = multiprocessing.get_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child_entry, args=(send, fn, job))
-    proc.start()
-    send.close()
-    deadline = time.monotonic() + timeout if timeout else None
-    outcome = None
-    try:
-        while True:
-            if recv.poll(_TICK):
-                try:
-                    outcome = recv.recv()
-                except EOFError:
-                    outcome = None
-                break
-            if not proc.is_alive():
-                if recv.poll(0):
-                    try:
-                        outcome = recv.recv()
-                    except EOFError:
-                        outcome = None
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                proc.kill()
-                proc.join(5)
-                return ("timeout", None)
-        proc.join(5)
-    finally:
-        recv.close()
-    if outcome is None:
-        return ("died", proc.exitcode)
-    return outcome
-
-
-# ---------------------------------------------------------------------------
 # The resilient batch executor
 
 
 class _Task:
-    """One schedulable unit (a run or a comparison) plus its history."""
+    """One schedulable unit (a run, comparison or triage) plus its
+    history."""
 
     __slots__ = ("kind", "key", "job", "failures")
 
@@ -625,20 +563,21 @@ class _Task:
 
 
 class ResilientBatchExecutor:
-    """Schedules a batch's run/compare jobs with crash isolation,
-    deadlines, retry/quarantine and journaling.
+    """Executes a batch's run/compare/triage jobs in this process, in
+    entry order, with crash isolation, retry/quarantine and journaling.
 
-    ``jobs == 1`` executes inline (or in kill-able child processes when
-    a deadline is set); ``jobs > 1`` drives a process pool with a
-    watchdog.  Either way the results feed the same deterministic
-    assembly path, so fault-free output is byte-identical across modes.
+    This class owns every piece of batch bookkeeping — results, journal,
+    retry budget, compare/triage scheduling, the result cache — and
+    :class:`~repro.regression.distributed.DistributedBatchExecutor`
+    reuses all of it, changing only *where* jobs run.  Either way the
+    results feed the same deterministic assembly path, so fault-free
+    output is byte-identical across the two.
     """
 
     def __init__(
         self,
         jobs_by_key: Dict[RunKey, RunJob],
         *,
-        jobs: int,
         compare_waveforms: bool,
         telemetry: bool = False,
         config: Optional[ResilienceConfig] = None,
@@ -648,16 +587,13 @@ class ResilientBatchExecutor:
         triage: bool = False,
         triage_paths: Optional[Dict[EntryKey, str]] = None,
         resumed_triages: Optional[Dict[EntryKey, object]] = None,
-        tracer=None,
         cache=None,
     ) -> None:
         self.jobs_by_key = jobs_by_key
-        self.jobs = jobs
         self.compare_waveforms = compare_waveforms
         self.telemetry = telemetry
         self.config = config if config is not None else ResilienceConfig()
         self.journal = journal
-        self.tracer = tracer
         #: Optional :class:`repro.cache.ResultCache`; when set, run
         #: tasks are satisfied from the store where possible and every
         #: fresh result is published back to it.
@@ -684,17 +620,8 @@ class ResilientBatchExecutor:
                 seen.add(entry_key)
                 self._entry_order.append(entry_key)
         self._compared = set(self.alignments)
-        self._degraded = False
-        self._task_seq = 0
 
     # -- shared bookkeeping -------------------------------------------------
-
-    def _span(self, name: str, **args):
-        if self.tracer is not None:
-            return self.tracer.span(name, **args)
-        import contextlib
-
-        return contextlib.nullcontext()
 
     def _job_for_attempt(self, task: _Task):
         attempt = len(task.failures)
@@ -872,302 +799,44 @@ class ResilientBatchExecutor:
         )
         return _Task("triage", entry_key, job)
 
-    @staticmethod
-    def _worker_fn(task: _Task):
-        if task.kind == "run":
-            return guarded_execute_run
-        if task.kind == "triage":
-            return guarded_execute_triage
-        return guarded_execute_compare
-
-    def _pool_crash_failure(self, task: _Task) -> RunFailure:
-        names = task.names
-        return RunFailure(
-            config_name=str(names["config"]), test_name=str(names["test"]),
-            seed=int(names["seed"]), view=str(names["view"]),
-            stage="run" if task.kind == "run" else "compare",
-            kind="ERROR", exc_type="WorkerDied",
-            message="worker process died while executing this job "
-                    "(process pool crashed)",
-            attempt=task.job.attempt,
-        )
-
-    def _timeout_failure(self, task: _Task) -> RunFailure:
-        names = task.names
-        return RunFailure(
-            config_name=str(names["config"]), test_name=str(names["test"]),
-            seed=int(names["seed"]), view=str(names["view"]),
-            stage="run" if task.kind == "run" else "compare",
-            kind="TIMEOUT", exc_type="WatchdogTimeout",
-            message=f"exceeded the run deadline of "
-                    f"{self.config.run_timeout}s and was killed",
-            attempt=task.job.attempt,
-        )
-
     # -- execution ----------------------------------------------------------
 
     def execute(self):
-        if self.jobs > 1:
-            self._execute_pool()
-        else:
-            self._execute_serial()
+        self._execute_serial()
+        return self._outcome()
+
+    def _outcome(self):
         return (self.results, self.alignments, self.compare_telemetry,
                 self.compare_failures, self.triages, self.triage_telemetry,
                 self.faults)
 
-    # -- serial (and degraded) mode ----------------------------------------
-
-    def _execute_serial(self, isolate: bool = False) -> None:
-        isolate = isolate or self.config.run_timeout is not None
+    def _execute_serial(self) -> None:
+        """Every job not yet done, inline and in entry order: both views,
+        then the entry's comparison and (if due) its triage."""
         for entry_key in self._entry_order:
             for view in ("rtl", "bca"):
                 key = entry_key + (view,)
                 if key in self.results:
                     continue
                 self._run_task_blocking(
-                    _Task("run", key, self.jobs_by_key[key]), isolate)
+                    _Task("run", key, self.jobs_by_key[key]))
             task = self._compare_task(entry_key)
             if task is not None:
-                self._run_task_blocking(task, isolate)
+                self._run_task_blocking(task)
             task = self._triage_task(entry_key)
             if task is not None:
-                self._run_task_blocking(task, isolate)
+                self._run_task_blocking(task)
 
-    def _run_task_blocking(self, task: _Task, isolate: bool) -> None:
+    def _run_task_blocking(self, task: _Task) -> None:
         if self._satisfy_from_cache(task, None):
             return
-        fn = self._worker_fn(task)
+        guard = GUARDS[task.kind]
         while True:
-            job = self._job_for_attempt(task)
-            if isolate:
-                outcome = _execute_in_child(fn, job, self.config.run_timeout)
-            else:
-                outcome = fn(job)
-            status, payload = outcome
+            status, payload = guard(self._job_for_attempt(task))
             if status == "ok":
                 self._complete(task, payload)
                 return
-            if status == "timeout":
-                failure = self._timeout_failure(task)
-            elif status == "died":
-                failure = dataclasses.replace(
-                    self._pool_crash_failure(task),
-                    message="worker child process died "
-                            f"(exit code {payload})",
-                )
-            else:
-                failure = payload
-            delay = self._register_failure(task, failure)
+            delay = self._register_failure(task, payload)
             if delay is None:
                 return
             time.sleep(delay)
-
-    # -- pool mode ----------------------------------------------------------
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.kill()
-            except Exception:
-                pass
-        pool.shutdown(wait=False)
-
-    def _execute_pool(self) -> None:
-        ready: Deque[_Task] = deque()
-        for key, job in self.jobs_by_key.items():
-            if key not in self.results:
-                ready.append(_Task("run", key, job))
-        for entry_key in self._entry_order:
-            task = self._compare_task(entry_key)
-            if task is not None:
-                ready.append(task)
-            # Resumed entries may already carry an alignment; their
-            # triage (if due and not itself resumed) starts immediately.
-            task = self._triage_task(entry_key)
-            if task is not None:
-                ready.append(task)
-        backoff: List[Tuple[float, int, _Task]] = []
-        inflight: Dict[object, _Task] = {}
-        started: Dict[object, float] = {}
-        broken_strikes = 0
-        pool = self._new_pool()
-        try:
-            while ready or backoff or inflight:
-                now = time.monotonic()
-                while backoff and backoff[0][0] <= now:
-                    ready.append(heapq.heappop(backoff)[2])
-                # Submit whatever is due.
-                submit_failed = False
-                while ready and not self._degraded:
-                    task = ready[0]
-                    if self._satisfy_from_cache(task, ready):
-                        ready.popleft()
-                        continue
-                    job = self._job_for_attempt(task)
-                    try:
-                        future = pool.submit(self._worker_fn(task), job)
-                    except Exception:
-                        # Pool broke between completions; recover below.
-                        submit_failed = True
-                        break
-                    ready.popleft()
-                    inflight[future] = task
-                if self._degraded:
-                    break
-                if not inflight:
-                    if submit_failed:
-                        pool, broken_strikes = self._recover_broken_pool(
-                            pool, inflight, started, ready, backoff,
-                            broken_strikes)
-                        continue
-                    if backoff:
-                        time.sleep(
-                            max(0.0, min(backoff[0][0] - now, 0.25)))
-                    continue
-                done, _ = wait(set(inflight), timeout=_TICK,
-                               return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-                for future in inflight:
-                    if future not in started and future.running():
-                        started[future] = now
-                pool_broke = submit_failed
-                for future in done:
-                    task = inflight.pop(future)
-                    was_started = started.pop(future, None) is not None
-                    try:
-                        outcome = future.result()
-                    except Exception:
-                        # BrokenProcessPool (or kin): a worker died
-                        # without returning.  In-flight jobs consume an
-                        # attempt; queued ones resubmit freely.
-                        pool_broke = True
-                        if was_started:
-                            delay = self._register_failure(
-                                task, self._pool_crash_failure(task))
-                            if delay is not None:
-                                self._push_backoff(backoff, now + delay,
-                                                   task)
-                        else:
-                            ready.append(task)
-                        continue
-                    self._handle_outcome(task, outcome, ready, backoff, now)
-                if pool_broke:
-                    pool, broken_strikes = self._recover_broken_pool(
-                        pool, inflight, started, ready, backoff,
-                        broken_strikes)
-                    continue
-                if self.config.run_timeout is not None:
-                    pool = self._enforce_deadlines(pool, inflight, started,
-                                                   ready, backoff, now)
-            if self._degraded:
-                self._drain_degraded(ready, backoff)
-        except BaseException:
-            self._kill_pool(pool)
-            raise
-        else:
-            pool.shutdown(wait=False)
-
-    def _push_backoff(self, backoff, due: float, task: _Task) -> None:
-        self._task_seq += 1
-        heapq.heappush(backoff, (due, self._task_seq, task))
-
-    def _handle_outcome(self, task: _Task, outcome, ready, backoff,
-                        now: float) -> None:
-        status, payload = outcome
-        if status == "ok":
-            self._complete(task, payload)
-            if task.kind == "run":
-                compare = self._compare_task(task.key[:3])
-                if compare is not None:
-                    ready.append(compare)
-            elif task.kind == "compare":
-                triage = self._triage_task(task.key)
-                if triage is not None:
-                    ready.append(triage)
-            return
-        delay = self._register_failure(task, payload)
-        if delay is not None:
-            self._push_backoff(backoff, now + delay, task)
-
-    def _recover_broken_pool(self, pool, inflight, started, ready, backoff,
-                             broken_strikes: int):
-        """The pool died unexpectedly: charge started jobs one attempt,
-        free-requeue queued ones, and rebuild (or degrade to serial)."""
-        now = time.monotonic()
-        for future, task in list(inflight.items()):
-            was_started = started.pop(future, None) is not None
-            if was_started:
-                delay = self._register_failure(
-                    task, self._pool_crash_failure(task))
-                if delay is not None:
-                    self._push_backoff(backoff, now + delay, task)
-            else:
-                ready.append(task)
-        inflight.clear()
-        started.clear()
-        self._kill_pool(pool)
-        broken_strikes += 1
-        self.faults.pool_rebuilds += 1
-        if broken_strikes > self.config.max_pool_rebuilds:
-            self._degraded = True
-            self.faults.degraded_serial = True
-            self.faults.note("pool.degraded",
-                             strikes=broken_strikes,
-                             detail="process pool broke repeatedly; "
-                                    "finishing the batch serially in "
-                                    "isolated child processes")
-            return pool, broken_strikes
-        self.faults.note("pool.rebuilt", cause="crash",
-                         strikes=broken_strikes)
-        with self._span("pool.rebuild", cause="crash"):
-            pool = self._new_pool()
-        return pool, broken_strikes
-
-    def _enforce_deadlines(self, pool, inflight, started, ready, backoff,
-                           now: float):
-        """Kill jobs past the deadline.  Returns the (possibly rebuilt)
-        pool; the hung worker can only be stopped by killing the whole
-        pool, so innocent in-flight jobs are requeued at no cost."""
-        timeout = self.config.run_timeout
-        timed = [future for future, t0 in started.items()
-                 if future in inflight and now - t0 > timeout]
-        if not timed:
-            return pool
-        for future in timed:
-            task = inflight.pop(future)
-            started.pop(future, None)
-            delay = self._register_failure(task, self._timeout_failure(task))
-            if delay is not None:
-                self._push_backoff(backoff, now + delay, task)
-        for future, task in list(inflight.items()):
-            started.pop(future, None)
-            ready.append(task)
-        inflight.clear()
-        started.clear()
-        self._kill_pool(pool)
-        self.faults.pool_rebuilds += 1
-        self.faults.note("pool.rebuilt", cause="timeout")
-        with self._span("pool.rebuild", cause="timeout"):
-            return self._new_pool()
-
-    def _drain_degraded(self, ready, backoff) -> None:
-        """Finish the remaining work serially in isolated children."""
-        leftovers: List[_Task] = list(ready)
-        leftovers.extend(task for _, _, task in sorted(backoff))
-        ready.clear()
-        backoff.clear()
-        for task in leftovers:
-            self._run_task_blocking(task, True)
-        # Comparisons (and their triages) whose runs only now completed.
-        for entry_key in self._entry_order:
-            task = self._compare_task(entry_key)
-            if task is not None:
-                self._run_task_blocking(task, True)
-            task = self._triage_task(entry_key)
-            if task is not None:
-                self._run_task_blocking(task, True)

@@ -28,6 +28,7 @@ from ..catg.env import RunResult
 from ..ioutil import atomic_write
 from ..stbus import NodeConfig
 from ..telemetry import BatchTelemetry, TelemetryConfig
+from .distributed import DistributedBatchExecutor
 from .resilience import (
     Journal,
     ResilienceConfig,
@@ -293,11 +294,13 @@ class RegressionRunner:
         Seeded bugs for the BCA view (experiments only).
     jobs:
         Number of worker processes for the batch.  ``1`` (default) runs
-        everything serially in this process; ``N > 1`` fans the
-        independent (config, test, seed, view) runs — and the
-        bus-accurate comparisons behind them — out over a process pool.
-        The assembled report and every artifact are byte-identical
-        either way.
+        everything serially in this process; ``N > 1`` forks N
+        lease-holding workers that execute the independent (config,
+        test, seed, view) runs — and the bus-accurate comparisons
+        behind them — in parallel.  A ``run_timeout`` in
+        ``resilience`` needs a process to kill, so with ``jobs=1`` it
+        runs the batch on one leased worker.  The assembled report and
+        every artifact are byte-identical either way.
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryConfig`.  When any of
         its outputs is set, every run records phase spans, kernel
@@ -319,12 +322,6 @@ class RegressionRunner:
         failure; the per-config report gains a "Triage" section.  A
         fault-free batch never schedules a triage, so its artifacts stay
         byte-identical with the flag on or off.
-    workers:
-        Distributed worker processes.  ``0`` (default) keeps the batch
-        local; ``N > 0`` shards the jobs across N leased loopback
-        workers (``python -m repro.regression.worker``), degrading to
-        the local executor when none is reachable.  Artifacts are
-        byte-identical to a local batch at any worker count.
     cache_dir:
         Root of the content-addressed result cache
         (:class:`~repro.cache.ResultCache`).  ``None`` disables
@@ -334,8 +331,8 @@ class RegressionRunner:
     distributed:
         Optional
         :class:`~repro.regression.distributed.DistributedConfig`
-        overriding the cluster knobs (lease/heartbeat/respawn budget);
-        implies ``workers`` from its own field when given.
+        overriding the lease knobs (lease expiry, heartbeat interval,
+        join deadline) of a batch that runs on leased workers.
     incremental:
         Key cache entries on cone-scoped semantic fingerprints
         (:class:`~repro.analysis.impact.ImpactIndex`) instead of the
@@ -361,7 +358,6 @@ class RegressionRunner:
         resilience: Optional[ResilienceConfig] = None,
         unr: bool = False,
         triage: bool = False,
-        workers: int = 0,
         cache_dir: Optional[str] = None,
         distributed=None,
         incremental: bool = False,
@@ -395,12 +391,6 @@ class RegressionRunner:
         #: comparison stage (dumps); excluded from the batch signature —
         #: a journaled batch may be resumed with triage toggled.
         self.triage = triage and self.compare_waveforms
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if distributed is not None:
-            workers = distributed.workers
-        #: Distributed worker count (0 = local execution).
-        self.workers = workers
         self.distributed = distributed
         #: Result-cache root (None = caching disabled).  The
         #: :class:`~repro.cache.ResultCache` itself is created per
@@ -527,25 +517,17 @@ class RegressionRunner:
         return journal, results, alignments, triages, stale
 
     def _make_executor(self, jobs_by_key, **kwargs):
-        """The resilient executor for this batch: local (serial or
-        pool) by default, the leased-worker coordinator when a
-        distributed worker count is set."""
-        if self.workers > 0:
-            from .distributed import (
-                DistributedBatchExecutor,
-                DistributedConfig,
-            )
-
-            cluster = self.distributed or DistributedConfig(
-                workers=self.workers)
-            return DistributedBatchExecutor(
-                jobs_by_key, distributed=cluster, **kwargs)
-        return ResilientBatchExecutor(jobs_by_key, **kwargs)
+        """In-process serial for ``jobs=1`` without a deadline; ``jobs``
+        leased worker processes otherwise."""
+        if self.jobs == 1 and self.resilience.run_timeout is None:
+            return ResilientBatchExecutor(jobs_by_key, **kwargs)
+        return DistributedBatchExecutor(
+            jobs_by_key, jobs=self.jobs, distributed=self.distributed,
+            **kwargs)
 
     def _execute(self, batch):
-        """Run the whole batch through the resilient executor (serial
-        inline for ``jobs=1``, process pool otherwise, leased workers
-        when distributed)."""
+        """Run the whole batch through the resilient executor (inline
+        serial or leased workers, see :meth:`_make_executor`)."""
         jobs_by_key = self._build_jobs()
         triage_paths = self._triage_paths()
         (journal, resumed_results, resumed_alignments, resumed_triages,
@@ -571,7 +553,6 @@ class RegressionRunner:
             self.cache = None
         executor = self._make_executor(
             jobs_by_key,
-            jobs=self.jobs,
             compare_waveforms=self.compare_waveforms,
             telemetry=self.telemetry.enabled,
             config=self.resilience,
@@ -581,7 +562,6 @@ class RegressionRunner:
             triage=self.triage,
             triage_paths=triage_paths,
             resumed_triages=resumed_triages,
-            tracer=batch,
             cache=self.cache,
         )
         executor.faults.resumed_runs = len(resumed_results)
@@ -693,7 +673,7 @@ class RegressionRunner:
             jobs=self.jobs, telemetry=self.telemetry,
             resilience=self.resilience, unr=self.unr,
             triage=self.triage,
-            workers=self.workers, cache_dir=self.cache_dir,
+            cache_dir=self.cache_dir,
             distributed=self.distributed, incremental=self.incremental,
         )
         return sub.run().configs[0]

@@ -1,19 +1,15 @@
-"""Worker process of the distributed regression service.
+"""Worker process of the leased-worker regression executor.
 
-Spawned (loopback) by the coordinator as::
-
-    python -m repro.regression.worker --connect HOST:PORT --token TOKEN
-
-The worker connects back, authenticates with the one-batch token, and
-then loops: receive a job frame, execute it through the *same* guarded
-wrappers the process-pool engine uses
-(:func:`~repro.regression.resilience.guarded_execute_run` and friends —
-so crash isolation, chaos hooks and structured failures behave
-identically at any distance), stream heartbeats while busy, and send
-the outcome back as a result frame.  Artifacts (VCDs, reports) are
-written directly to the batch workdir: loopback workers share the
-coordinator's filesystem; remote hosts would add an artifact-upload
-frame, which the protocol leaves room for.
+Forked by the coordinator
+(:class:`~repro.regression.distributed.DistributedBatchExecutor`),
+which runs :func:`serve` in the child.  The worker connects back over
+loopback, authenticates with the one-batch token, and then loops:
+receive a job frame, execute it through the *same* guarded wrappers the
+serial path uses (:data:`~repro.regression.resilience.GUARDS` — so crash
+isolation, chaos hooks and structured failures behave identically),
+stream heartbeats while busy, and send the outcome back as a result
+frame.  Artifacts (VCDs, reports) are written directly to the batch
+workdir, which the coordinator shares.
 
 A worker is deliberately stateless: it owns no queue, no journal and no
 cache.  Everything durable lives with the coordinator, so killing a
@@ -22,44 +18,35 @@ worker at any instant loses at most the single job it was leasing.
 
 from __future__ import annotations
 
-import argparse
 import os
+import signal
 import socket
 import sys
 import threading
 import time
-from typing import List, Optional
 
 from . import chaos
 from .protocol import FrameConnection, ProtocolError, decode_payload, \
     encode_payload, frame_bytes
+from .resilience import GUARDS
 
 
-def _guards():
-    # Imported lazily so ``--help`` stays instant.
-    from .resilience import (
-        guarded_execute_compare,
-        guarded_execute_run,
-        guarded_execute_triage,
-    )
+def _heartbeat_loop(conn: FrameConnection, busy: dict) -> None:
+    """Every ``busy["interval"]`` seconds, heartbeat the job in hand
+    (``busy["job_id"]``, ``None`` while idle).
 
-    return {
-        "run": guarded_execute_run,
-        "compare": guarded_execute_compare,
-        "triage": guarded_execute_triage,
-    }
-
-
-def _heartbeat_loop(conn: FrameConnection, job_id: int, interval: float,
-                    stop: threading.Event) -> None:
-    """Send a heartbeat for ``job_id`` every ``interval`` seconds until
-    the job finishes; a send failure means the coordinator is gone and
-    the worker's main loop will discover it on its own."""
-    while not stop.wait(interval):
-        try:
-            conn.send({"type": "heartbeat", "job_id": job_id})
-        except OSError:
-            return
+    One thread serves every job of the worker: starting and joining a
+    thread per job would put two thread handoffs on each job's path.  A
+    send failure means the coordinator is gone, which the main loop
+    discovers on its own."""
+    while True:
+        time.sleep(busy["interval"])
+        job_id = busy["job_id"]
+        if job_id is not None:
+            try:
+                conn.send({"type": "heartbeat", "job_id": job_id})
+            except OSError:
+                return
 
 
 def _corrupt(body: bytes) -> bytes:
@@ -74,6 +61,10 @@ def _corrupt(body: bytes) -> bytes:
 
 def serve(host: str, port: int, token: str, worker_id: str) -> int:
     """Connect to the coordinator and execute jobs until shutdown."""
+    # Interrupts belong to the coordinator: Ctrl-C reaches the whole
+    # process group, and the coordinator's teardown stops its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         sock = socket.create_connection((host, port), timeout=10.0)
     except OSError as exc:
@@ -82,7 +73,8 @@ def serve(host: str, port: int, token: str, worker_id: str) -> int:
         return 2
     sock.settimeout(None)
     conn = FrameConnection(sock)
-    guards = _guards()
+    busy = {"job_id": None, "interval": 1.0}
+    beat = None
     try:
         conn.send({"type": "hello", "token": token, "pid": os.getpid(),
                    "worker_id": worker_id})
@@ -98,19 +90,16 @@ def serve(host: str, port: int, token: str, worker_id: str) -> int:
             job_id = frame["job_id"]
             kind = frame["kind"]
             job = decode_payload(frame["job"])
-            stop = threading.Event()
-            beat = threading.Thread(
-                target=_heartbeat_loop,
-                args=(conn, job_id, float(frame.get("heartbeat", 1.0)),
-                      stop),
-                daemon=True,
-            )
-            beat.start()
+            busy["interval"] = float(frame.get("heartbeat", 1.0))
+            busy["job_id"] = job_id
+            if beat is None:
+                beat = threading.Thread(target=_heartbeat_loop,
+                                        args=(conn, busy), daemon=True)
+                beat.start()
             try:
-                outcome = guards[kind](job)
+                outcome = GUARDS[kind](job)
             finally:
-                stop.set()
-                beat.join()
+                busy["job_id"] = None
             rule = chaos.net_rule_for(job) if kind == "run" else None
             body = frame_bytes({
                 "type": "result", "job_id": job_id,
@@ -136,32 +125,3 @@ def serve(host: str, port: int, token: str, worker_id: str) -> int:
                 return 0
     finally:
         conn.close()
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.regression.worker",
-        description="Worker process of the distributed regression "
-                    "service; spawned by the coordinator, not by hand.",
-    )
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address to dial back to")
-    parser.add_argument("--token", required=True,
-                        help="one-batch authentication token")
-    parser.add_argument("--worker-id", default=None, metavar="ID",
-                        help="stable identity for logs and telemetry "
-                             "(default: w<pid>)")
-    args = parser.parse_args(argv)
-    host, _, port_text = args.connect.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"error: bad --connect address {args.connect!r}",
-              file=sys.stderr)
-        return 2
-    worker_id = args.worker_id or f"w{os.getpid()}"
-    return serve(host or "127.0.0.1", port, args.token, worker_id)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

@@ -10,7 +10,7 @@ Four pieces:
   (``--metrics-out``, ``--trace-out``, ``--log-json``,
   ``--time-processes``).
 * :class:`RunRecorder` — per-(config, test, seed, view) recorder living
-  in whichever process executes the run (a pool worker under
+  in whichever process executes the run (a leased worker under
   ``jobs=N``, the parent under ``jobs=1``).  Its :meth:`payload` is a
   picklable :class:`RunTelemetry` shipped back across the process
   boundary.

@@ -13,7 +13,7 @@ context manager from :meth:`TraceCollector.span`, so instrumented code
 pays one attribute load and one branch when tracing is off.
 
 Events are plain dicts — picklable across the regression engine's
-process pool and JSON-able for export.
+worker processes and JSON-able for export.
 """
 
 from __future__ import annotations

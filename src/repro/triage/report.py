@@ -5,7 +5,7 @@ failed — now what": the first diverging (signal, cycle) point, the
 cone-ranked process suspects, a trimmed waveview excerpt of the cone
 signals around the split, and the exact commands that replay the failure
 in isolation.  It is a plain picklable dataclass of primitives so the
-regression pool can ship it across process boundaries, the journal can
+regression workers can ship it across process boundaries, the journal can
 checkpoint it, and CI can diff its JSON form against golden files.
 
 The JSON schema is versioned (``schema_version``); paths inside the
@@ -231,7 +231,7 @@ def triage_entry(
     # Materialize the lazy address-map default before rendering the
     # config text: a config that already elaborated in this process
     # prints the map, a freshly unpickled one would not, and the
-    # artifact must be byte-identical for serial and pooled batches.
+    # artifact must be byte-identical for serial and parallel batches.
     config.resolved_map
     rtl_path = rtl_vcd if isinstance(rtl_vcd, str) else None
     bca_path = bca_vcd if isinstance(bca_vcd, str) else None

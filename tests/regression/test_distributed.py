@@ -1,14 +1,14 @@
-"""Tests for the distributed regression service.
+"""Tests for the leased-worker executor.
 
 The coordinator's contract: a batch sharded across leased worker
 processes produces artifacts **byte-identical** to a serial batch, at
-any cluster size, under any worker-death schedule — and when the
-cluster is entirely unreachable the batch degrades to local execution
-with a single warning, never a failure.
+any worker count, under any worker-death schedule — and when no worker
+is reachable the batch finishes in-process with a single warning, never
+a failure.
 
 Faults are injected through the same ``REPRO_CHAOS`` environment hook
 as the in-process tests (:mod:`repro.regression.chaos`); the variable
-crosses the process boundary to the spawned workers, which is exactly
+crosses the process boundary to the forked workers, which is exactly
 how a farm scheduler's kill shows up — from outside the coordinator.
 """
 
@@ -20,13 +20,17 @@ import threading
 import pytest
 
 from repro.regression import (
+    DistributedBatchExecutor,
     DistributedConfig,
     RegressionRunner,
     ResilienceConfig,
 )
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
+from repro.regression import worker as worker_module
 from repro.regression.configs import save_config_dir
+from repro.regression.parallel import TriageJob
+from repro.regression.resilience import _Task
 from repro.stbus import NodeConfig, ProtocolType
 from repro.telemetry.session import TelemetryConfig
 
@@ -39,18 +43,18 @@ def _configs():
                        protocol_type=ProtocolType.T3, name=CONFIG_NAME)]
 
 
-def _cluster(workers=2, **overrides):
+def _cluster(**overrides):
     knobs = dict(lease_seconds=15.0, heartbeat_seconds=0.2,
                  spawn_timeout=30.0)
     knobs.update(overrides)
-    return DistributedConfig(workers=workers, **knobs)
+    return DistributedConfig(**knobs)
 
 
-def _run(workdir, distributed=None, resilience=None, seeds=(1,),
+def _run(workdir, jobs=1, distributed=None, resilience=None, seeds=(1,),
          metrics=None):
     runner = RegressionRunner(
         _configs(), tests=TESTS, seeds=seeds, workdir=str(workdir),
-        resilience=resilience or ResilienceConfig(backoff=0.0),
+        jobs=jobs, resilience=resilience or ResilienceConfig(backoff=0.0),
         distributed=distributed,
         telemetry=TelemetryConfig(metrics_out=metrics),
     )
@@ -80,7 +84,8 @@ def clean_ref(tmp_path):
 def test_distributed_matches_serial_byte_identically(tmp_path, clean_ref):
     ref_report, ref_snap = clean_ref
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
+                  distributed=_cluster(),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
@@ -92,7 +97,10 @@ def test_distributed_matches_serial_byte_identically(tmp_path, clean_ref):
 
 def test_single_worker_cluster_matches_serial(tmp_path, clean_ref):
     ref_report, ref_snap = clean_ref
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=1))
+    # ``jobs=1`` alone runs in-process; a deadline moves it onto one
+    # leased worker.
+    report = _run(tmp_path / "dist", distributed=_cluster(),
+                  resilience=ResilienceConfig(backoff=0.0, run_timeout=60.0))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
 
@@ -110,7 +118,8 @@ def test_worker_kill_mid_job_recovers_byte_identically(
     monkeypatch.setenv(
         CHAOS_ENV, f"worker-kill:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
+                  distributed=_cluster(),
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
@@ -118,7 +127,7 @@ def test_worker_kill_mid_job_recovers_byte_identically(
     faults = _faults(metrics)
     assert faults["worker_deaths"] >= 1
     assert faults["retries"] >= 1
-    assert not faults["degraded_serial"]
+    assert not faults["degraded_local"]
 
 
 def test_net_corrupt_frame_drops_worker_and_recovers(
@@ -130,7 +139,8 @@ def test_net_corrupt_frame_drops_worker_and_recovers(
         CHAOS_ENV,
         f"net-corrupt-frame:{CONFIG_NAME}:t02_random_uniform:1:bca:1")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
+                  distributed=_cluster(),
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
@@ -145,7 +155,8 @@ def test_net_drop_loses_result_not_batch(tmp_path, monkeypatch, clean_ref):
     ref_report, ref_snap = clean_ref
     monkeypatch.setenv(
         CHAOS_ENV, f"net-drop:{CONFIG_NAME}:t01_sanity_write_read:1:bca:1")
-    report = _run(tmp_path / "dist", distributed=_cluster(workers=2),
+    report = _run(tmp_path / "dist", jobs=2,
+                  distributed=_cluster(),
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0))
     assert report.render() == ref_report.render()
     assert _snapshot(tmp_path / "dist") == ref_snap
@@ -159,8 +170,8 @@ def test_silent_worker_lease_is_reclaimed(tmp_path, monkeypatch, clean_ref):
     monkeypatch.setenv(
         CHAOS_ENV, f"net-delay:{CONFIG_NAME}:t01_sanity_write_read:1:rtl:1")
     metrics = tmp_path / "metrics.json"
-    report = _run(tmp_path / "dist",
-                  distributed=_cluster(workers=2, lease_seconds=1.0),
+    report = _run(tmp_path / "dist", jobs=2,
+                  distributed=_cluster(lease_seconds=1.0),
                   resilience=ResilienceConfig(max_retries=2, backoff=0.0),
                   metrics=str(metrics))
     assert report.render() == ref_report.render()
@@ -170,18 +181,43 @@ def test_silent_worker_lease_is_reclaimed(tmp_path, monkeypatch, clean_ref):
     assert faults["worker_deaths"] >= 1
 
 
+def test_triage_worker_failures_are_booked_as_triage():
+    """A triage job whose worker dies or times out is a triage failure,
+    not a compare failure."""
+    job = TriageJob(config=_configs()[0], test_name=TESTS[0], seed=1,
+                    rtl_vcd="rtl.vcd", bca_vcd="bca.vcd", out_path=None,
+                    bugs=frozenset(), reason="checkers-failed")
+    task = _Task("triage", (0, TESTS[0], 1), job)
+    executor = DistributedBatchExecutor(
+        {}, jobs=2, compare_waveforms=True,
+        config=ResilienceConfig(run_timeout=1.0, backoff=0.0))
+    lost = executor._worker_lost_failure(task, "WorkerLost", "gone")
+    timeout = executor._timeout_failure(task)
+    assert lost.stage == timeout.stage == "triage"
+    assert lost.view == timeout.view == "triage"
+    for failure in (lost, timeout):
+        executor._register_failure(task, failure)
+    assert executor.faults.triage_failures == 2
+    assert executor.faults.compare_failures == 0
+
+
 # -- graceful degradation -----------------------------------------------
 
 
-def test_unreachable_cluster_degrades_to_local(tmp_path, capfd, clean_ref):
-    """Every spawn exits without dialing back (`/bin/false` standing in
-    for a broken farm): one warning line, then the batch runs locally
-    and stays byte-identical.  Never a failure."""
+def _exit_at_once(*args):
+    os._exit(1)
+
+
+def test_unreachable_cluster_degrades_to_local(
+        tmp_path, capfd, monkeypatch, clean_ref):
+    """Every forked worker exits without dialing back: one warning
+    line, then the batch runs in-process and stays byte-identical.
+    Never a failure."""
     ref_report, ref_snap = clean_ref
     metrics = tmp_path / "metrics.json"
-    cluster = _cluster(workers=2, spawn_timeout=10.0,
-                       spawn_command=("/bin/false",))
-    report = _run(tmp_path / "dist", distributed=cluster,
+    monkeypatch.setattr(worker_module, "serve", _exit_at_once)
+    cluster = _cluster(spawn_timeout=10.0)
+    report = _run(tmp_path / "dist", jobs=2, distributed=cluster,
                   metrics=str(metrics))
     err = capfd.readouterr().err
     assert err.count("no distributed workers reachable") == 1
@@ -195,22 +231,19 @@ def test_unreachable_cluster_degrades_to_local(tmp_path, capfd, clean_ref):
 
 def test_cli_rejects_bad_cluster_flags(tmp_path, capsys):
     assert regression_main(
-        [str(tmp_path), "--workers", "-1"]) == 2
-    assert "--workers" in capsys.readouterr().err
-    assert regression_main(
         [str(tmp_path), "--cache-dir", str(tmp_path), "--no-cache"]) == 2
     assert "--no-cache" in capsys.readouterr().err
 
 
 def test_cli_distributed_stdout_matches_serial(tmp_path, capsys):
     """The CLI's stdout and summary artifact are byte-identical between
-    ``--workers 0`` and ``--workers 2`` (with a result cache on the
-    side for the distributed batch)."""
+    ``--jobs 1`` and ``--jobs 2`` (with a result cache on the side for
+    the leased-worker batch)."""
     save_config_dir(_configs(), str(tmp_path / "cfgs"))
     outputs = {}
     for label, extra in (
-            ("serial", []),
-            ("dist", ["--workers", "2",
+            ("serial", ["--jobs", "1"]),
+            ("dist", ["--jobs", "2",
                       "--cache-dir", str(tmp_path / "cache")])):
         code = regression_main([
             str(tmp_path / "cfgs"),

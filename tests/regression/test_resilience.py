@@ -4,7 +4,7 @@ Every fault here is injected deterministically through the ``REPRO_CHAOS``
 environment hook (:mod:`repro.regression.chaos`); production batches never
 set the variable, so the first tests pin down that the hooks are inert
 without it.  The load-bearing invariant throughout: a batch that recovers
-from a fault (retry, pool rebuild, resume) produces artifacts
+from a fault (retry, worker respawn, resume) produces artifacts
 *byte-identical* to a batch that never faulted.
 """
 
@@ -26,6 +26,7 @@ from repro.regression.chaos import (
 )
 from repro.regression.cli import main as regression_main
 from repro.stbus import NodeConfig, ProtocolType
+from repro.telemetry.session import TelemetryConfig
 
 TESTS = ["t01_sanity_write_read", "t02_random_uniform"]
 CONFIG_NAME = "rsl_cfg"
@@ -170,7 +171,7 @@ def test_timeout_then_retry_recovers(tmp_path, monkeypatch, clean_ref):
     assert _snapshot(tmp_path / "faulted") == ref_snap
 
 
-# -- pool crashes -------------------------------------------------------
+# -- worker crashes (leased workers under jobs=2) ------------------------
 
 
 def test_pool_hard_death_recovers_byte_identically(
@@ -193,6 +194,33 @@ def test_pool_crash_mid_batch_report_complete(tmp_path, monkeypatch):
     assert len(entries) == len(TESTS)
     assert entries[0].status == "QUARANTINED"
     assert entries[1].status == "PASS"
+
+
+def test_worker_death_is_charged_only_to_its_job(tmp_path, monkeypatch):
+    """A worker that dies on every attempt of one job is charged to that
+    job alone: no sibling ever retries, fails or is quarantined."""
+    monkeypatch.setenv(
+        CHAOS_ENV, f"exit:{CONFIG_NAME}:t01_sanity_write_read:1:bca")
+    log = tmp_path / "run.log.jsonl"
+    report = RegressionRunner(
+        _configs(), tests=TESTS, seeds=(1, 2), workdir=str(tmp_path / "out"),
+        jobs=2, resilience=ResilienceConfig(max_retries=2, backoff=0.0),
+        telemetry=TelemetryConfig(log_out=str(log)),
+    ).run()
+    faulted = {"config": CONFIG_NAME, "test": "t01_sanity_write_read",
+               "seed": 1, "view": "bca"}
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    charged = [r for r in records if r.get("event") in (
+        "job.retry", "job.failed", "job.quarantined")]
+    assert [r["event"] for r in charged] == [
+        "job.retry", "job.retry", "job.quarantined"]
+    for record in charged:
+        assert {name: record[name] for name in faulted} == faulted
+    for entry in report.configs[0].entries:
+        if (entry.test_name, entry.seed) == ("t01_sanity_write_read", 1):
+            assert entry.status == "QUARANTINED"
+        else:
+            assert entry.status == "PASS"
 
 
 # -- journal + resume ---------------------------------------------------
