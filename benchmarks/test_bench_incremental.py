@@ -1,8 +1,8 @@
 """Incremental-regression benchmark: what one process edit costs.
 
-The ISSUE's quantitative claim: after editing **one** process, an
-incremental batch re-runs only the entries whose fan-out cone contains
-it.  The workload is a four-configuration matrix where exactly one
+The claim: after editing **one** process, a cached batch re-runs only
+the entries whose fan-out cone contains it (every cache key is
+cone-scoped).  The workload is a four-configuration matrix where exactly one
 configuration has a programming port; the edit lands in
 ``ProgrammingMaster._clk``, so only that configuration's two views are
 affected — a 2/8 = 25% re-run fraction, asserted against a 50% floor.
@@ -70,7 +70,7 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics):
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),
-         "--incremental", "--metrics-out", str(metrics)],
+         "--metrics-out", str(metrics)],
         capture_output=True, text=True, env=env)
     wall = time.perf_counter() - start
     assert proc.returncode in (0, 1), proc.stdout + proc.stderr

@@ -1,9 +1,9 @@
 """Static change-impact analysis: semantic fingerprints and cone-scoped keys.
 
-PR 9's result cache keys every entry on a monolithic hash of all design
-sources, so touching a comment in one BCA decoder invalidates the whole
-matrix.  This module makes re-verification cost proportional to the
-*semantic* size of an edit:
+Keying the result cache on a monolithic hash of all design sources
+would let a comment in one BCA decoder invalidate the whole matrix.
+This module makes re-verification cost proportional to the *semantic*
+size of an edit:
 
 * **Per-process semantic fingerprints.**  Each registered process is
   hashed over a normalized form of its body — comments, docstrings and
@@ -46,10 +46,10 @@ matrix.  This module makes re-verification cost proportional to the
   (config, test, seed, view) cache entry — is classified affected or
   provably unaffected.
 
-* **Cone-scoped cache keys.**  :class:`ImpactIndex` hands the result
-  cache a per-job design key: the environment residual hash plus the
-  sorted fingerprints of every process in the fan-in cone of the
-  entry's observed signals (the VCD traces every signal and the
+* **Cone-scoped cache keys.**  :class:`ImpactIndex` gives the result
+  cache each (config, view)'s design key: the environment residual hash
+  plus the sorted fingerprints of every process in the fan-in cone of
+  the entry's observed signals (the VCD traces every signal and the
   checkers/coverage probe observe the ports, so the observation cone of
   a full-trace run is the entire design — the scoping power is that
   RTL and BCA process sets differ, and config-conditional processes
@@ -61,13 +61,15 @@ from __future__ import annotations
 
 import ast
 import copy
+import functools
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -76,7 +78,7 @@ from typing import (
     Tuple,
 )
 
-from ..cache.store import DESIGN_ROOTS, design_source_hash
+from ..cache.store import DESIGN_ROOTS, design_source_hash, impact_counters
 from ..ioutil import atomic_write
 
 #: Schema tag of the design fingerprint manifest; manifests from an
@@ -161,10 +163,19 @@ class _StripDocstrings(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def _normalized_ast_dump(node: ast.AST) -> str:
-    """Docstring-stripped, position-free dump of a process body."""
-    cleaned = _StripDocstrings().visit(copy.deepcopy(node))
-    return ast.dump(cleaned)
+#: Normalized dumps by (source, node position), which alone determine
+#: them: a batch registers the same few functions hundreds of times.
+_AST_DUMPS: Dict[Tuple[str, int, int], str] = {}
+
+
+def _normalized_ast_dump(info, node: ast.AST) -> str:
+    """Docstring-stripped, position-free dump of ``info``'s body
+    (``node``, its :meth:`source_ast`), memoized."""
+    memo = (info.source(), node.lineno, node.col_offset)
+    if memo not in _AST_DUMPS:
+        cleaned = _StripDocstrings().visit(copy.deepcopy(node))
+        _AST_DUMPS[memo] = ast.dump(cleaned)
+    return _AST_DUMPS[memo]
 
 
 def _normalized_body(info) -> Tuple[str, Optional[str], Optional[str]]:
@@ -184,7 +195,7 @@ def _normalized_body(info) -> Tuple[str, Optional[str], Optional[str]]:
     node = info.source_ast()
     if node is not None:
         try:
-            return MODE_SEMANTIC_AST, _normalized_ast_dump(node), None
+            return MODE_SEMANTIC_AST, _normalized_ast_dump(info, node), None
         except Exception as exc:
             lift_reason = (
                 f"AST normalization failed: {type(exc).__name__}: {exc}"
@@ -304,6 +315,21 @@ def process_spans(infos: Iterable) -> Set[Tuple[str, int, str]]:
         spans.add((filename, code.co_firstlineno,
                    getattr(func, "__name__", "<unknown>")))
     return spans
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_process_spans() -> FrozenSet[Tuple[str, int, str]]:
+    """Spans of every process any ``configuration_matrix()`` design
+    registers: a set fixed by the sources alone."""
+    from ..lint.runner import build_env
+    from ..regression.configs import configuration_matrix
+
+    infos: List[object] = []
+    for config in configuration_matrix():
+        for view in DEFAULT_VIEWS:
+            sim = build_env(config, view).sim
+            infos.extend(sim.comb_processes + sim.clocked_processes)
+    return frozenset(process_spans(infos))
 
 
 class _ElideProcessBodies(_StripDocstrings):
@@ -596,13 +622,13 @@ class DesignManifest:
 
 
 class ImpactIndex:
-    """Fingerprints of every (config, view) of one batch, plus the
-    cone-scoped design-key resolver the result cache consumes.
+    """Fingerprints and cone-scoped design keys of every (config, view)
+    of one batch.
 
-    Built eagerly (all designs elaborated up front) so the environment
-    residual hash elides *every* registered process body — including
-    config-conditional processes that exist only in some designs — and
-    is therefore one stable value shared by all keys.
+    The environment residual hash, shared by all keys, elides the body
+    of every process the batch's designs or the configuration matrix
+    (:func:`matrix_process_spans`) register, so a design's key does not
+    depend on which other configurations share its batch.
     """
 
     def __init__(self, configs: Sequence,
@@ -621,63 +647,32 @@ class ImpactIndex:
                 self.designs[label] = fingerprints
                 self.graphs[label] = graph
                 infos.extend(list(graph.comb) + list(graph.clocked))
-        self.environment = environment_digest(process_spans(infos))
-        self._keys: Dict[str, str] = {}
-        self.events: List[Dict[str, object]] = []
-        self._counters: Dict[str, int] = {
-            "impact.designs": len(self.designs),
-            "impact.processes": 0,
-            "impact.semantic_ir": 0,
-            "impact.semantic_ast": 0,
-            "impact.raw_source": 0,
-            "impact.opaque": 0,
-            "impact.cone_keys": 0,
-            "impact.design_fallbacks": 0,
-        }
-        mode_counter = {
-            MODE_SEMANTIC_IR: "impact.semantic_ir",
-            MODE_SEMANTIC_AST: "impact.semantic_ast",
-            MODE_RAW_SOURCE: "impact.raw_source",
-            MODE_OPAQUE: "impact.opaque",
-        }
+        self.environment = environment_digest(
+            process_spans(infos) | matrix_process_spans())
+        #: label -> the design's key record: its ``impact.design-key``
+        #: run-log event, plus per-rung process counts (``modes``).
+        self.records: Dict[str, Dict[str, object]] = {}
         for label, design in sorted(self.designs.items()):
-            for fp in design.processes.values():
-                self._counters["impact.processes"] += 1
-                self._counters[mode_counter[fp.mode]] += 1
-            key = design.design_key(self.environment, self.whole_design)
-            self._keys[label] = key
             fallback = design.fallback_reason
-            if fallback is None:
-                self._counters["impact.cone_keys"] += 1
-                self.events.append({
-                    "event": "impact.design-key", "design": label,
-                    "mode": "cone", "key": key,
-                })
-            else:
-                self._counters["impact.design_fallbacks"] += 1
-                self.events.append({
-                    "event": "impact.design-key", "design": label,
-                    "mode": "whole-design", "key": key,
-                    "reason": fallback,
-                })
+            self.records[label] = {
+                "event": "impact.design-key", "design": label,
+                "mode": "cone" if fallback is None else "whole-design",
+                "key": design.design_key(self.environment, self.whole_design),
+                **({} if fallback is None else {"reason": fallback}),
+                "modes": dict(sorted(Counter(
+                    fp.mode for fp in design.processes.values()).items())),
+            }
+        self.events = list(self.records.values())
 
     def counters(self) -> Dict[str, int]:
-        return dict(self._counters)
+        return impact_counters(self.records.values())
 
     def design_key(self, config_name: str, view: str) -> str:
         """The cone-scoped key component for one (config, view); the
         monolithic design hash for designs this index never saw (a job
         outside the indexed batch must not get a fabricated key)."""
-        return self._keys.get(
-            _design_label(config_name, view), self.whole_design)
-
-    def resolver(self) -> Callable:
-        """Per-job design resolver for
-        :class:`repro.cache.ResultCache`."""
-        def resolve(job) -> str:
-            return self.design_key(job.config.name, job.view)
-
-        return resolve
+        return self.records.get(_design_label(config_name, view), {
+            "key": self.whole_design})["key"]  # type: ignore[return-value]
 
     def manifest(self) -> DesignManifest:
         return DesignManifest(

@@ -1,9 +1,9 @@
 """Content-addressed, integrity-verified result cache.
 
 ``repro.cache`` promotes the resume journal's artifact digests into a
-shared result pool: any (design, config, test, seed, view) run that has
-ever executed against the same design sources is a cache hit, verified
-on read and never served when torn or corrupt.  See
+shared result pool: any (config, test, seed, view) run that has ever
+executed against a semantically identical design cone is a cache hit,
+verified on read and never served when torn or corrupt.  See
 :mod:`repro.cache.store` for the storage contract.
 """
 

@@ -1,9 +1,10 @@
 """``python -m repro.cache`` — inspect the content-addressed store.
 
 The one command today is ``explain``: print every component of a cache
-entry's key so invalidation is diagnosable instead of opaque — which
-design hash (monolithic or cone-scoped) the entry was stored under,
-the configuration text digest, test, seed, view, bug set and
+entry's key so invalidation is diagnosable instead of opaque — the
+design key (``current``, ``stale`` or, without a memo, ``unknown``
+against the current tree's memo for its config and view), the
+configuration text digest, test, seed, view, bug set and
 arbitration-checker flag, plus the entry's integrity verdict.
 
 Examples::
@@ -29,7 +30,12 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
-from .store import CACHE_DIR_ENV, ResultCache, design_source_hash
+from .store import (
+    CACHE_DIR_ENV,
+    ResultCache,
+    design_source_hash,
+    memo_inputs,
+)
 
 USAGE_EXIT = 2
 
@@ -46,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="print every key component of one cache entry",
         description="Print every component of a cache entry's key "
-                    "(design/cone hash, config digest, test, seed, "
+                    "(design key, config digest, test, seed, "
                     "view, bugs, checker flag) and verify its "
                     "integrity.",
     )
@@ -108,6 +114,14 @@ def _explain(args: argparse.Namespace) -> int:
     key_inputs = entry.get("key_inputs")
     artifacts = entry.get("artifacts") or {}
     current_design = design_source_hash()
+    inputs = key_inputs or {}
+    # The memos sit in the root of <root>/objects/<key[:2]>/<key>.json.
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(path))))
+    memo = ResultCache(root).read_memo(memo_inputs(
+        current_design, inputs.get("config_sha256"), inputs.get("view")))[0]
+    status = ("unknown" if memo is None else "current"
+              if memo["record"]["key"] == inputs.get("design") else "stale")
     if args.json:
         payload = {
             "entry": path,
@@ -118,6 +132,7 @@ def _explain(args: argparse.Namespace) -> int:
             "key_inputs": key_inputs,
             "artifacts": sorted(artifacts),
             "current_design_hash": current_design,
+            "design_status": status,
         }
         if not verified:
             payload["reason"] = reason
@@ -145,13 +160,9 @@ def _explain(args: argparse.Namespace) -> int:
             "`repro.cache explain`; re-run the batch to upgrade it)")
     else:
         lines.append("key components:")
-        design = key_inputs.get("design")
-        mode = ("monolithic design-source hash"
-                if design == current_design
-                else "cone-scoped or stale design hash")
-        lines.append(f"  design: {design}")
-        lines.append(f"    ({mode}; current design-source hash is "
-                     f"{current_design})")
+        lines.append(f"  design: {key_inputs.get('design')}")
+        lines.append(f"    ({status}: against the current tree's memo "
+                     f"under design-source hash {current_design})")
         lines.append(
             f"  config sha256: {key_inputs.get('config_sha256')}")
         lines.append(f"  test: {key_inputs.get('test')}")

@@ -7,19 +7,21 @@ shared, dedup'd result pool.  This module is that pool's storage layer:
 
 * **Content-addressed keys.**  Every simulation run is deterministic in
   its coordinates, so its result is addressed by the SHA-256 of
-  everything that determines it: the *design-source hash* (the bytes of
-  every Python module the simulated models are built from), the
-  canonical configuration text, the test name, the seed, the view, the
-  injected BCA bug set (BCA view only — the RTL view never sees bugs,
-  so its entries stay shared across bug experiments) and the
-  arbitration-checker flag.
+  everything that determines it: the cone-scoped *design key* of its
+  (config, view) (:mod:`repro.analysis.impact`, memoized under the
+  *design-source hash*: the bytes of every Python module the simulated
+  models are built from), the canonical configuration text, the test
+  name, the seed, the view, the injected BCA bug set (BCA view only —
+  the RTL view never sees bugs, so its entries stay shared across bug
+  experiments) and the arbitration-checker flag.
 
-* **Integrity verification on every read.**  Each entry carries the
-  SHA-256 digest of its own canonical body.  A torn entry (killed
-  writer before atomic rename existed), a flipped byte (bad disk, bad
-  NFS), or a poisoned entry (payload swapped under a key it does not
-  belong to) fails verification and is **never served**: it is moved to
-  ``quarantine/`` with a structured diagnostic and the run re-executes.
+* **Integrity verification on every read.**  Each entry (and memo)
+  carries the SHA-256 digest of its own canonical body.  A torn entry
+  (killed writer before atomic rename existed), a flipped byte (bad
+  disk, bad NFS), or a poisoned entry (payload swapped under a key it
+  does not belong to) fails verification and is **never trusted**: it
+  is moved to ``quarantine/`` with a structured diagnostic and the run
+  (or key derivation) re-executes.
 
 * **Atomic, last-wins writes.**  Entries are staged to a unique temp
   file in the store and published with :func:`os.replace`, so any
@@ -45,12 +47,15 @@ import os
 import pickle
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Schema tag of every entry file; entries from an incompatible schema
 #: are quarantined, not misread.
 CACHE_SCHEMA = "repro.cache/entry/v1"
+
+#: Schema tag of a design-key memo file (one per config and view).
+MEMO_SCHEMA = "repro.cache/design-key/v1"
 
 #: Schema tag of the structured diagnostic written next to a
 #: quarantined entry.
@@ -111,19 +116,37 @@ def design_source_hash(roots: Sequence[str] = DESIGN_ROOTS) -> str:
     return value
 
 
-def cache_key(job, design: Optional[str] = None) -> str:
-    """The content address of one run's result.
-
-    ``job`` is a :class:`~repro.regression.parallel.RunJob`; ``design``
-    overrides the design-source hash (tests, remote pools with a
-    pre-agreed hash).
-    """
+def config_sha256(config) -> str:
+    """SHA-256 of a configuration's canonical text."""
     # Resolve the address map first: elaboration materializes the
     # default map onto the config, so a resolved and an unresolved copy
     # of the same configuration must key identically.
-    job.config.resolved_map
+    config.resolved_map
+    return hashlib.sha256(config.to_text().encode("utf-8")).hexdigest()
+
+
+def memo_inputs(design_source: str, config_digest: str,
+                view: str) -> Dict[str, str]:
+    """What one design-key memo is looked up by (and records)."""
+    return {"design_source": design_source,
+            "config_sha256": config_digest, "view": view}
+
+
+def memo_key(inputs: Dict[str, str]) -> str:
+    """Address of one design-key memo: the hash of its inputs."""
+    return hashlib.sha256(json.dumps(
+        inputs, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def cache_key(job, design: str) -> str:
+    """The content address of one run's result.
+
+    ``job`` is a :class:`~repro.regression.parallel.RunJob`; ``design``
+    is the design key of its (config, view).
+    """
+    job.config.resolved_map  # see config_sha256
     payload = json.dumps({
-        "design": design if design is not None else design_source_hash(),
+        "design": design,
         "config": job.config.to_text(),
         "test": job.test_name,
         "seed": job.seed,
@@ -148,22 +171,17 @@ class CacheStats:
     quarantined: int = 0
 
     def counters(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "verify_failures": self.verify_failures,
-            "quarantined": self.quarantined,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class CacheDiagnostic:
-    """Structured record of one rejected (quarantined) entry."""
+    """Structured record of one rejected (quarantined) entry or memo."""
 
     key: str
     reason: str        # torn-entry | schema-mismatch | digest-mismatch |
-                       # key-mismatch | payload-undecodable
+                       # key-mismatch | payload-undecodable |
+                       # inputs-mismatch (memo)
     detail: str
     entry_path: str
     quarantine_path: Optional[str]
@@ -180,6 +198,11 @@ class CacheDiagnostic:
         }
 
 
+#: Body fields (and types) every verified file of a schema carries.
+_BODY_FIELDS = {CACHE_SCHEMA: (("payload", str), ("artifacts", dict)),
+                MEMO_SCHEMA: (("inputs", dict), ("record", dict))}
+
+
 def _encode_blob(data: bytes) -> str:
     return base64.b64encode(zlib.compress(data, 6)).decode("ascii")
 
@@ -193,56 +216,116 @@ def _entry_digest(body: Dict[str, object]) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
+def impact_counters(records, memo_hits: int = 0) -> Dict[str, int]:
+    """Fingerprint-rung, key-mode and memo totals over design-key
+    records (the metrics ``batch.impact`` section)."""
+    counters = dict.fromkeys((
+        "impact.designs", "impact.memo_hits", "impact.processes",
+        "impact.semantic_ir", "impact.semantic_ast", "impact.raw_source",
+        "impact.opaque", "impact.cone_keys", "impact.design_fallbacks"), 0)
+    counters["impact.memo_hits"] = memo_hits
+    for record in records:
+        counters["impact.designs"] += 1
+        for mode, count in record["modes"].items():
+            counters["impact." + mode.replace("-", "_")] += count
+            counters["impact.processes"] += count
+        counters["impact.cone_keys" if record["mode"] == "cone"
+                 else "impact.design_fallbacks"] += 1
+    return counters
+
+
 class ResultCache:
     """A content-addressed result store rooted at one directory.
 
     Layout::
 
         <root>/objects/<key[:2]>/<key>.json   one entry per result
-        <root>/quarantine/<key>.json          rejected entries (+ .diag.json)
+        <root>/designs/<memo key>.json        one design key per memo key
+        <root>/quarantine/<name>.json         rejected files (+ .diag.json)
+
+    The first design-key memo miss builds one impact index over the
+    batch's ``configs`` (in ``span("impact.index")``, if given).
 
     Thread-compatibility: one instance is used from the coordinating
     process only; concurrent *processes* sharing the same root are safe
     by construction (unique temp files + atomic rename, last-wins).
     """
 
-    def __init__(self, root: str, design: Optional[str] = None,
-                 design_resolver=None) -> None:
+    def __init__(self, root: str, configs: Sequence = (),
+                 span=None) -> None:
         self.root = root
-        self._design = design
-        #: Optional per-job design-key resolver (``job -> hash``), used
-        #: by incremental regression to substitute a cone-scoped key
-        #: (see :mod:`repro.analysis.impact`) for the monolithic
-        #: design-source hash.  When unset, every job keys on
-        #: ``design`` (default: the design-source hash).
-        self._design_resolver = design_resolver
+        self.configs = list(configs)
+        self._span = span
+        #: memo key -> the design-key record in force for this batch.
+        self._designs: Dict[str, Dict[str, object]] = {}
         self.stats = CacheStats()
-        #: Structured events (hit/miss/store/quarantine) for the
-        #: telemetry run log; drained by the batch exporter.
+        #: Structured events (hit/miss/store/quarantine/design key) for
+        #: the telemetry run log; drained by the batch exporter.
         self.events: List[Dict[str, object]] = []
 
-    # -- paths --------------------------------------------------------------
-
-    @property
-    def design(self) -> str:
-        if self._design is None:
-            self._design = design_source_hash()
-        return self._design
-
-    def design_for(self, job) -> str:
-        """The design-key component of ``job``'s cache key."""
-        if self._design_resolver is not None:
-            return self._design_resolver(job)
-        return self.design
-
-    def key_for(self, job) -> str:
-        return cache_key(job, design=self.design_for(job))
+    # -- paths and keys -----------------------------------------------------
 
     def entry_path(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], f"{key}.json")
 
-    def _quarantine_dir(self) -> str:
-        return os.path.join(self.root, "quarantine")
+    def memo_path(self, key: str) -> str:
+        return os.path.join(self.root, "designs", f"{key}.json")
+
+    def key_for(self, job) -> str:
+        return cache_key(job, design=self.design_for(job))
+
+    def design_for(self, job) -> str:
+        """``job``'s design key: from its memo under the current
+        sources, else derived afresh for the whole batch."""
+        inputs = memo_inputs(design_source_hash(),
+                             config_sha256(job.config), job.view)
+        key = memo_key(inputs)
+        if key not in self._designs:
+            memo, reason, detail = self.read_memo(inputs)
+            if reason is not None:
+                self._quarantine(key, self.memo_path(key), reason, detail)
+            if memo is not None:
+                self._designs[key] = memo["record"]
+                self.events.append(dict(memo["record"], source="memo"))
+            else:  # the job's config wins its label over a namesake
+                self._index([job.config] + [c for c in self.configs
+                                            if c.name != job.config.name])
+        return self._designs[key]["key"]  # type: ignore[return-value]
+
+    def read_memo(self, inputs: Dict[str, str]):
+        """``(memo, reason, detail)``, without side effects; ``memo`` is
+        ``None`` when absent or (``reason`` set) not to be trusted."""
+        key = memo_key(inputs)
+        memo, reason, detail = self._read(key, self.memo_path(key),
+                                          MEMO_SCHEMA)
+        if memo is not None and memo["inputs"] != inputs:
+            return None, "inputs-mismatch", (
+                f"memo records inputs {memo['inputs']} but was looked up "
+                f"for {inputs}; refusing to trust it")
+        return memo, reason, detail
+
+    def _index(self, configs) -> None:
+        """Fingerprint ``configs`` with one impact index and memoize
+        every design key it derives."""
+        from ..analysis.impact import ImpactIndex
+
+        span = self._span or (lambda name, **args: contextlib.nullcontext())
+        with span("impact.index", configs=len(configs)):
+            index = ImpactIndex(configs)
+        for label, design in index.designs.items():
+            inputs = memo_inputs(design_source_hash(),
+                                 design.config_digest, design.view)
+            key = memo_key(inputs)
+            if key not in self._designs:
+                self._designs[key] = record = index.records[label]
+                self._publish(self.memo_path(key), {
+                    "schema": MEMO_SCHEMA, "key": key, "inputs": inputs,
+                    "record": record})
+                self.events.append(dict(record, source="index"))
+
+    def impact_counters(self) -> Dict[str, int]:
+        return impact_counters(self._designs.values(), sum(
+            event.get("source") == "memo" for event in self.events))
 
     # -- write --------------------------------------------------------------
 
@@ -272,7 +355,6 @@ class ResultCache:
         # invalidation is diagnosable (`python -m repro.cache explain`):
         # the config *digest* rather than its full text keeps the entry
         # small while still pinpointing which component diverged.
-        job.config.resolved_map
         body = {
             "schema": CACHE_SCHEMA,
             "key": key,
@@ -284,8 +366,7 @@ class ResultCache:
             },
             "key_inputs": {
                 "design": self.design_for(job),
-                "config_sha256": hashlib.sha256(
-                    job.config.to_text().encode("utf-8")).hexdigest(),
+                "config_sha256": config_sha256(job.config),
                 "test": job.test_name,
                 "seed": job.seed,
                 "view": job.view,
@@ -295,27 +376,19 @@ class ResultCache:
             "payload": _encode_blob(pickle.dumps(clean, protocol=4)),
             "artifacts": blobs,
         }
-        body["digest"] = _entry_digest(
-            {name: value for name, value in body.items() if name != "digest"}
-        )
         path = self.entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:12]}.", suffix=".tmp~",
-            dir=os.path.dirname(path))
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(body, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            with _suppress_oserror():
-                os.remove(tmp)
-            raise
+        self._publish(path, body)
         self.stats.stores += 1
         self.events.append({
             "event": "cache.store", "key": key, **body["coords"]})
         return path
+
+    @staticmethod
+    def _publish(path: str, body: Dict[str, object]) -> None:
+        """Seal ``body`` with its digest; publish it at ``path``."""
+        body["digest"] = _entry_digest(body)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _replace_atomically(path, json.dumps(body, sort_keys=True) + "\n")
 
     # -- read ---------------------------------------------------------------
 
@@ -330,16 +403,12 @@ class ResultCache:
         """
         key = self.key_for(job)
         path = self.entry_path(key)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            self._miss(key, job, "no-entry")
-            return None
-        entry, reason, detail = self._verify(key, raw)
+        entry, reason, detail = self._read(key, path)
         if entry is None:
-            self._quarantine(key, path, reason, detail)
-            self._miss(key, job, f"quarantined:{reason}")
+            if reason is not None:
+                self._quarantine(key, path, reason, detail)
+            self._miss(key, job, "no-entry" if reason is None
+                       else f"quarantined:{reason}")
             return None
         if not set(artifacts) <= set(entry["artifacts"]):
             # A valid entry stored by a batch that dumped fewer
@@ -355,18 +424,8 @@ class ResultCache:
             self._miss(key, job, "quarantined:payload-undecodable")
             return None
         for role, out_path in sorted(artifacts.items()):
-            data = _decode_blob(entry["artifacts"][role])
-            out_dir = os.path.dirname(out_path) or "."
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:12]}.", suffix=".tmp~", dir=out_dir)
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, out_path)
-            except BaseException:
-                with _suppress_oserror():
-                    os.remove(tmp)
-                raise
+            _replace_atomically(
+                out_path, _decode_blob(entry["artifacts"][role]))
         self.stats.hits += 1
         self.events.append({
             "event": "cache.hit", "key": key,
@@ -377,18 +436,27 @@ class ResultCache:
 
     # -- verification -------------------------------------------------------
 
+    @classmethod
+    def _read(cls, key: str, path: str, schema: str = CACHE_SCHEMA):
+        """:meth:`_verify` the file at ``path`` (all ``None`` if none)."""
+        try:
+            with open(path, "rb") as handle:
+                return cls._verify(key, handle.read(), schema)
+        except OSError:
+            return None, None, None
+
     @staticmethod
-    def _verify(key: str, raw: bytes):
-        """Parse + verify one entry's bytes.  Returns
+    def _verify(key: str, raw: bytes, schema: str = CACHE_SCHEMA):
+        """Parse + verify one entry's (or memo's) bytes.  Returns
         ``(entry, None, None)`` or ``(None, reason, detail)``."""
         try:
             entry = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             return None, "torn-entry", f"undecodable JSON: {exc}"
         if not isinstance(entry, dict) \
-                or entry.get("schema") != CACHE_SCHEMA:
+                or entry.get("schema") != schema:
             return None, "schema-mismatch", (
-                f"expected schema {CACHE_SCHEMA!r}, "
+                f"expected schema {schema!r}, "
                 f"got {entry.get('schema') if isinstance(entry, dict) else type(entry).__name__!r}"
             )
         recorded = entry.get("digest")
@@ -405,8 +473,8 @@ class ResultCache:
                 f"entry claims key {entry.get('key')} but is addressed "
                 f"as {key}; refusing to serve"
             )
-        if not isinstance(entry.get("artifacts"), dict) \
-                or "payload" not in entry:
+        if not all(isinstance(entry.get(name), kind)
+                   for name, kind in _BODY_FIELDS[schema]):
             return None, "schema-mismatch", "entry body is incomplete"
         return entry, None, None
 
@@ -426,7 +494,7 @@ class ResultCache:
         """Move a rejected entry out of the addressable store and write
         a structured diagnostic next to it.  The entry is *moved*, not
         deleted: the corrupt bytes are evidence."""
-        qdir = self._quarantine_dir()
+        qdir = os.path.join(self.root, "quarantine")
         os.makedirs(qdir, exist_ok=True)
         dest = os.path.join(qdir, os.path.basename(path))
         index = 0
@@ -445,17 +513,29 @@ class ResultCache:
         )
         if moved is not None:
             with _suppress_oserror():
-                fd, tmp = tempfile.mkstemp(
-                    prefix=".diag.", suffix=".tmp~", dir=qdir)
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(diagnostic.as_record(), handle,
-                              sort_keys=True, indent=1)
-                    handle.write("\n")
-                os.replace(tmp, dest + ".diag.json")
+                _replace_atomically(dest + ".diag.json", json.dumps(
+                    diagnostic.as_record(), sort_keys=True, indent=1) + "\n")
         self.stats.verify_failures += 1
-        if moved is not None:
-            self.stats.quarantined += 1
+        self.stats.quarantined += moved is not None
         self.events.append(diagnostic.as_record())
+
+
+def _replace_atomically(path: str, data) -> None:
+    """Write ``data`` (text or bytes) to a unique temp file beside
+    ``path`` and :func:`os.replace` it into place: concurrent writers
+    are last-wins and readers never see a torn file."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)[:12]}.", suffix=".tmp~",
+        dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str)
+                         else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with _suppress_oserror():
+            os.remove(tmp)
+        raise
 
 
 def _suppress_oserror():

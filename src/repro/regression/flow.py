@@ -14,8 +14,8 @@ the executable form of the paper's flow diagram, used by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..analyzer import SIGNOFF_THRESHOLD
 from ..stbus import NodeConfig
@@ -103,11 +103,9 @@ class CommonVerificationFlow:
     with a cache the later iterations reuse every run whose coordinates
     an earlier one already simulated (the fix loop re-runs only what the
     fix invalidated — BCA entries key on their bug set, the RTL entries
-    hit the cache unchanged).
-    ``incremental=True`` additionally keys the cache on cone-scoped
-    semantic fingerprints (:mod:`repro.analysis.impact`), so across
-    *source* edits only the entries the edit's fan-out cone can affect
-    re-execute.
+    hit the cache unchanged).  Cache keys are cone-scoped
+    (:mod:`repro.analysis.impact`), so across *source* edits only the
+    entries the edit's fan-out cone can affect re-execute.
     """
 
     def __init__(
@@ -126,7 +124,6 @@ class CommonVerificationFlow:
         resilience: Optional["ResilienceConfig"] = None,
         triage: bool = False,
         cache_dir: Optional[str] = None,
-        incremental: bool = False,
     ):
         self.config = config
         self.tests = tests
@@ -139,13 +136,6 @@ class CommonVerificationFlow:
         self.symbolic = symbolic
         self.jobs = jobs
         self.cache_dir = cache_dir
-        if incremental and not cache_dir:
-            raise ValueError(
-                "incremental=True requires a result cache (cache_dir)")
-        #: Cone-scoped semantic cache keys for every iteration's batch:
-        #: across checkouts, only the entries a source edit's fan-out
-        #: cone can affect re-execute (see repro.analysis.impact).
-        self.incremental = incremental
         #: Auto-triage failing entries each iteration; the localized
         #: suspects are folded into the "fix the BCA model" transitions
         #: so the fix loop starts from a named process, not a hunch.
@@ -286,7 +276,6 @@ class CommonVerificationFlow:
             workdir=self.workdir, bca_bugs=self.bca_bugs,
             jobs=self.jobs, telemetry=telemetry, resilience=resilience,
             triage=self.triage, cache_dir=self.cache_dir,
-            incremental=self.incremental,
         )
         return runner.run().configs[0]
 

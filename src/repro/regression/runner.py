@@ -324,24 +324,15 @@ class RegressionRunner:
         byte-identical with the flag on or off.
     cache_dir:
         Root of the content-addressed result cache
-        (:class:`~repro.cache.ResultCache`).  ``None`` disables
-        caching.  A verified hit replays the run's artifacts byte-
-        for-byte without simulating; corrupt entries are quarantined
-        and re-executed, never served.
+        (:class:`~repro.cache.ResultCache`, keyed on cone-scoped
+        design keys).  ``None`` disables caching.  A verified hit
+        replays the run's artifacts byte-for-byte without simulating;
+        corrupt entries are quarantined and re-executed, never served.
     distributed:
         Optional
         :class:`~repro.regression.distributed.DistributedConfig`
         overriding the lease knobs (lease expiry, heartbeat interval,
         join deadline) of a batch that runs on leased workers.
-    incremental:
-        Key cache entries on cone-scoped semantic fingerprints
-        (:class:`~repro.analysis.impact.ImpactIndex`) instead of the
-        monolithic design-source hash, so a warm cache survives
-        comment-only/formatting edits and edits to processes a design
-        does not instantiate; everything a change can affect still
-        re-executes (conservative fallbacks, never stale).  Requires
-        ``cache_dir``.  Both the populating and the consuming batch
-        must run incrementally for the refined keys to match.
     """
 
     def __init__(
@@ -360,7 +351,6 @@ class RegressionRunner:
         triage: bool = False,
         cache_dir: Optional[str] = None,
         distributed=None,
-        incremental: bool = False,
     ):
         self.configs = list(configs)
         self.tests = list(tests) if tests is not None else list(TESTCASES)
@@ -397,15 +387,6 @@ class RegressionRunner:
         #: :meth:`run` so its hit/miss accounting is per-batch.
         self.cache_dir = cache_dir
         self.cache = None
-        if incremental and not cache_dir:
-            raise ValueError(
-                "incremental regression requires a result cache "
-                "(cache_dir)")
-        #: Cone-scoped semantic cache keys (see
-        #: :mod:`repro.analysis.impact`); the index itself is built per
-        #: :meth:`run` so its fingerprints reflect the batch's configs.
-        self.incremental = incremental
-        self.impact = None
         if workdir:
             os.makedirs(workdir, exist_ok=True)
 
@@ -535,22 +516,8 @@ class RegressionRunner:
         if self.cache_dir:
             from ..cache import ResultCache
 
-            resolver = None
-            if self.incremental:
-                from ..analysis.impact import ImpactIndex
-
-                with batch.span("impact.index",
-                                configs=len(self.configs)):
-                    self.impact = ImpactIndex(self.configs)
-                resolver = self.impact.resolver()
             self.cache = ResultCache(
-                self.cache_dir, design_resolver=resolver)
-            if self.impact is not None:
-                # The per-design key decisions ride the cache's event
-                # stream into the telemetry run log.
-                self.cache.events.extend(self.impact.events)
-        else:
-            self.cache = None
+                self.cache_dir, self.configs, span=batch.span)
         executor = self._make_executor(
             jobs_by_key,
             compare_waveforms=self.compare_waveforms,
@@ -663,21 +630,6 @@ class RegressionRunner:
             entry.alignment = compare_vcds(rtl_vcd, bca_vcd)
         return entry
 
-    def run_config(self, config: NodeConfig) -> ConfigReport:
-        """Serial single-configuration run (legacy convenience)."""
-        sub = RegressionRunner(
-            [config], tests=self.tests, seeds=self.seeds,
-            workdir=self.workdir, compare_waveforms=self.compare_waveforms,
-            bca_bugs=self.bca_bugs,
-            with_arbitration_checker=self.with_arbitration_checker,
-            jobs=self.jobs, telemetry=self.telemetry,
-            resilience=self.resilience, unr=self.unr,
-            triage=self.triage,
-            cache_dir=self.cache_dir,
-            distributed=self.distributed, incremental=self.incremental,
-        )
-        return sub.run().configs[0]
-
     def run(self) -> RegressionReport:
         batch = BatchTelemetry(self.telemetry, jobs=self.jobs)
         with batch.span("batch.execute", jobs=self.jobs):
@@ -696,6 +648,6 @@ class RegressionRunner:
             compare_telemetry=compare_telemetry, configs=self.configs,
             tests=self.tests, seeds=self.seeds, faults=faults,
             triages=triages, triage_telemetry=triage_telemetry,
-            cache=self.cache, impact=self.impact,
+            cache=self.cache,
         )
         return report

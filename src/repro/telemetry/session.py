@@ -214,7 +214,6 @@ class BatchTelemetry:
         triages=None,
         triage_telemetry=None,
         cache=None,
-        impact=None,
     ) -> None:
         """Write metrics/trace/log side-channel files (no-op if disabled).
 
@@ -225,15 +224,10 @@ class BatchTelemetry:
 
         ``cache`` is the batch's :class:`~repro.cache.ResultCache` (or
         ``None``): its hit/miss/store/verify counters land in the
-        metrics ``batch.cache`` section and its structured events
-        (including quarantine diagnostics) in the run log.
-
-        ``impact`` is the incremental batch's
-        :class:`~repro.analysis.impact.ImpactIndex` (or ``None``): its
-        fingerprint/fallback counters land in the metrics
-        ``batch.impact`` section (its per-design key events ride the
-        cache event stream).  Non-incremental batches pass nothing and
-        export byte-identical metrics files.
+        metrics ``batch.cache`` section, its design-key counters
+        (fingerprint modes, fallbacks, memo hits) in ``batch.impact``,
+        and its structured events (including quarantine diagnostics and
+        one ``impact.design-key`` per design) in the run log.
 
         ``triages`` maps entry keys to
         :class:`~repro.triage.TriageReport` payloads for the entries that
@@ -263,7 +257,7 @@ class BatchTelemetry:
             self._write_metrics(
                 report, wall, run_keys, entry_keys, results, payloads,
                 alignments, compare_telemetry, configs, faults,
-                triages, triage_telemetry, cache, impact,
+                triages, triage_telemetry, cache,
             )
         if self.config.trace_out:
             events = list(self.trace.events)
@@ -337,8 +331,7 @@ class BatchTelemetry:
     def _write_metrics(self, report, wall, run_keys, entry_keys, results,
                        payloads, alignments, compare_telemetry,
                        configs, faults=None, triages=None,
-                       triage_telemetry=None, cache=None,
-                       impact=None) -> None:
+                       triage_telemetry=None, cache=None) -> None:
         import json
 
         triages = triages or {}
@@ -459,9 +452,7 @@ class BatchTelemetry:
             # Present only when a result cache was configured, so
             # cache-less batches export byte-identical metrics files.
             payload_out["batch"]["cache"] = cache.stats.counters()
-        if impact is not None:
-            # Present only for incremental batches, same rationale.
-            payload_out["batch"]["impact"] = impact.counters()
+            payload_out["batch"]["impact"] = cache.impact_counters()
         if triage_rows:
             # Present only when failures were triaged, so fault-free
             # batches and triage-disabled batches export byte-identical

@@ -21,6 +21,7 @@ from repro.analysis.impact import (
 )
 from repro.analysis.impact_cli import main as impact_main
 from repro.cache.store import design_source_hash
+from repro.regression.configs import configuration_matrix
 from repro.stbus import NodeConfig
 
 
@@ -267,18 +268,28 @@ def test_index_keys_are_per_view_and_stable(stock_index):
     assert fresh.design_key("node", "bca") == bca
 
 
+def test_index_keys_do_not_depend_on_batch_mates():
+    """Adding a configuration that registers more processes must not
+    change another design's key: the residual elides a span set fixed
+    by the sources, not by the batch."""
+    by_name = {config.name: config for config in configuration_matrix()}
+    alone = ImpactIndex([by_name["cfg26_t2_1x1_w32_full_lru"]])
+    paired = ImpactIndex([
+        by_name["cfg26_t2_1x1_w32_full_lru"],
+        by_name["cfg01_t2_3x2_w32_full_programmable_priority"],
+    ])
+    assert alone.environment == paired.environment
+    for view in ("rtl", "bca"):
+        assert (alone.design_key("cfg26_t2_1x1_w32_full_lru", view)
+                == paired.design_key("cfg26_t2_1x1_w32_full_lru", view))
+
+
 def test_index_unknown_design_degrades_to_whole_hash(stock_index):
     assert (stock_index.design_key("never-built", "rtl")
             == design_source_hash())
 
 
-def test_index_resolver_and_counters(stock_index):
-    class Job:
-        config = NodeConfig(name="node")
-        view = "bca"
-
-    resolve = stock_index.resolver()
-    assert resolve(Job()) == stock_index.design_key("node", "bca")
+def test_index_counters_and_events(stock_index):
     counters = stock_index.counters()
     assert counters["impact.designs"] == 2
     assert counters["impact.cone_keys"] == 2

@@ -50,8 +50,8 @@ def test_explain_by_path(stored, capsys):
     out = capsys.readouterr().out
     assert "integrity: verified" in out
     assert "key components:" in out
-    assert f"design: {design_source_hash()}" in out
-    assert "monolithic design-source hash" in out
+    assert f"design: {cache.design_for(job)}" in out
+    assert "(current: " in out
     expected_cfg = hashlib.sha256(
         job.config.to_text().encode("utf-8")).hexdigest()
     assert f"config sha256: {expected_cfg}" in out
@@ -84,13 +84,49 @@ def test_explain_json(stored, capsys):
     assert payload["verified"] is True
     assert payload["key"] == os.path.basename(path).split(".", 1)[0]
     inputs = payload["key_inputs"]
-    assert inputs["design"] == design_source_hash()
+    assert inputs["design"] == cache.design_for(job)
+    assert payload["design_status"] == "current"
+    assert payload["current_design_hash"] == design_source_hash()
     assert inputs["test"] == "t01_sanity_write_read"
     assert inputs["seed"] == 1
     assert inputs["view"] == "rtl"
     assert inputs["bugs"] == []
     assert inputs["with_arbitration_checker"] is True
     assert "report" in payload["artifacts"]
+
+
+def _rewritten(path, dest, **key_inputs):
+    """Copy the entry at ``path`` to ``dest`` with ``key_inputs``
+    overridden and its digest resealed."""
+    with open(path, "r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    entry["key_inputs"].update(key_inputs)
+    entry["digest"] = _entry_digest(
+        {name: value for name, value in entry.items()
+         if name != "digest"})
+    os.makedirs(os.path.dirname(str(dest)), exist_ok=True)
+    with open(dest, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle, sort_keys=True)
+    return str(dest)
+
+
+def test_explain_labels_stale_and_unknown_design_keys(
+        stored, capsys, tmp_path):
+    """The design label comes from the current tree's memo: a key the
+    memo disagrees with is ``stale``; a store without a memo for the
+    entry's config and view is ``unknown``."""
+    job, cache, path = stored
+    stale = _rewritten(path, os.path.join(
+        cache.root, "objects", "ff", os.path.basename(path)),
+        design="e" * 64)
+    cache_main(["explain", stale, "--json"])
+    assert json.loads(capsys.readouterr().out)["design_status"] == "stale"
+    cache_main(["explain", stale])
+    assert "(stale: " in capsys.readouterr().out
+    elsewhere = _rewritten(path, tmp_path / "other" / "objects" / "ab"
+                           / os.path.basename(path))
+    cache_main(["explain", elsewhere])
+    assert "(unknown: " in capsys.readouterr().out
 
 
 def test_explain_pre_upgrade_entry(stored, capsys, tmp_path):

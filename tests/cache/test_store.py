@@ -10,6 +10,9 @@ The store's contract has three legs, each pinned here:
   structured diagnostic and the run re-executes.
 * **Atomicity** — concurrent writers racing on one key leave a single
   valid entry (last-wins); readers never observe a torn one.
+* **Design-key memos** — an unchanged tree takes every design key from
+  its memo without building the impact index; a corrupt, poisoned or
+  forged memo is quarantined and the key re-derived, never trusted.
 
 The end-to-end law — a warm cache means a second identical batch
 executes **zero** simulation jobs — is proven by re-running under a
@@ -31,7 +34,13 @@ from repro.cache import (
     cache_key,
     design_source_hash,
 )
-from repro.cache.store import _entry_digest
+from repro.analysis import impact
+from repro.cache.store import (
+    _entry_digest,
+    config_sha256,
+    memo_inputs,
+    memo_key,
+)
 from repro.regression import RegressionRunner
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.parallel import RunJob, execute_run_job
@@ -156,7 +165,7 @@ def test_cached_payload_strips_execution_telemetry(tmp_path):
 
 
 def test_miss_on_empty_store(tmp_path):
-    cache = ResultCache(str(tmp_path), design=DESIGN)
+    cache = ResultCache(str(tmp_path))
     assert cache.load(_job(), {}) is None
     assert cache.stats.misses == 1
     assert cache.stats.verify_failures == 0
@@ -290,11 +299,16 @@ def test_concurrent_writers_leave_one_valid_entry(tmp_path):
         assert proc.exitcode == 0
     paths = {done.get(timeout=10)[1] for _ in procs}
     assert None not in paths and len(paths) == 1
-    # No stale temp files; exactly one entry; it verifies on read.
-    objects = []
+    # No stale temp files; exactly one entry (beside the two views'
+    # design-key memos); it verifies on read.
+    files = []
     for dirpath, _, filenames in os.walk(tmp_path / "cache"):
-        objects.extend(os.path.join(dirpath, name) for name in filenames)
-    assert len(objects) == 1 and objects[0].endswith(".json")
+        files.extend(os.path.join(dirpath, name) for name in filenames)
+    assert all(name.endswith(".json") for name in files)
+    objects = [name for name in files
+               if os.sep + "objects" + os.sep in name]
+    assert len(objects) == 1
+    assert len(files) == 1 + 2
     cache = ResultCache(str(tmp_path / "cache"))
     replay_dir = tmp_path / "replay"
     os.makedirs(replay_dir)
@@ -307,9 +321,9 @@ def test_concurrent_writers_leave_one_valid_entry(tmp_path):
 # -- end-to-end: warm cache = zero executed simulations ------------------
 
 
-def _batch(workdir, cache_dir, jobs=1):
+def _batch(workdir, cache_dir, jobs=1, configs=None):
     runner = RegressionRunner(
-        [_config()], tests=["t01_sanity_write_read"], seeds=[1],
+        configs or [_config()], tests=["t01_sanity_write_read"], seeds=[1],
         workdir=str(workdir), jobs=jobs,
         cache_dir=str(cache_dir),
     )
@@ -349,3 +363,87 @@ def test_keys_stable_across_serial_and_pooled_engines(tmp_path):
     assert runner.cache.stats.stores == 0
     assert pooled_report.render() == report.render()
     assert _snapshot(tmp_path / "pooled") == _snapshot(tmp_path / "serial")
+
+
+# -- design-key memos -----------------------------------------------------
+
+
+def test_memo_hit_builds_no_index(tmp_path, monkeypatch):
+    """An unchanged tree takes every design key from its memo: with the
+    impact index made unbuildable, a second batch still hits
+    everywhere."""
+    report, runner = _batch(tmp_path / "cold", tmp_path / "cache")
+    assert runner.cache.impact_counters()["impact.memo_hits"] == 0
+    assert len(os.listdir(tmp_path / "cache" / "designs")) == 2
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("a memo hit must not build the impact index")
+
+    monkeypatch.setattr(impact, "ImpactIndex", no_index)
+    warm_report, warm_runner = _batch(tmp_path / "warm", tmp_path / "cache")
+    assert warm_runner.cache.stats.counters() == {
+        "hits": 2, "misses": 0, "stores": 0,
+        "verify_failures": 0, "quarantined": 0,
+    }
+    counters = warm_runner.cache.impact_counters()
+    assert counters["impact.memo_hits"] == counters["impact.designs"] == 2
+    assert {event["source"] for event in warm_runner.cache.events
+            if event["event"] == "impact.design-key"} == {"memo"}
+    assert warm_report.render() == report.render()
+    assert _snapshot(tmp_path / "warm") == _snapshot(tmp_path / "cold")
+
+
+def _damage_memo(cache, configs, damage):
+    """Doctor the RTL memo of ``configs[1]``; return the expected
+    quarantine reason."""
+    source = design_source_hash()
+    path_a, path_b = (
+        cache.memo_path(memo_key(
+            memo_inputs(source, config_sha256(config), "rtl")))
+        for config in configs)
+    with open(path_a, "r", encoding="utf-8") as handle:
+        memo_a = json.load(handle)
+    with open(path_b, "r", encoding="utf-8") as handle:
+        memo = json.load(handle)
+    if damage == "flipped-byte":
+        # Keep the JSON well-formed: only the digest catches this.
+        key = memo["record"]["key"]
+        memo["record"]["key"] = ("0" if key[0] != "0" else "1") + key[1:]
+        reason = "digest-mismatch"
+    elif damage == "poisoned":
+        memo = memo_a  # another config's memo under this file name
+        reason = "key-mismatch"
+    else:  # forged: readdressed and resealed, inputs still config A's
+        memo = dict(memo_a, key=memo["key"])
+        memo["digest"] = _entry_digest(
+            {name: value for name, value in memo.items()
+             if name != "digest"})
+        reason = "inputs-mismatch"
+    with open(path_b, "w", encoding="utf-8") as handle:
+        json.dump(memo, handle, sort_keys=True)
+    return path_b, reason
+
+
+@pytest.mark.parametrize("damage", ["flipped-byte", "poisoned", "forged"])
+def test_rejected_memo_is_quarantined_and_rebuilt(tmp_path, damage):
+    """A memo that fails verification or records other inputs is never
+    trusted: it is quarantined, the index re-derives the key, and the
+    batch still hits with byte-identical outputs."""
+    configs = [_config("memo_a"), _config("memo_b")]
+    report, runner = _batch(tmp_path / "cold", tmp_path / "cache",
+                            configs=configs)
+    path, reason = _damage_memo(runner.cache, configs, damage)
+    warm_report, warm_runner = _batch(
+        tmp_path / "warm", tmp_path / "cache", configs=configs)
+    cache = warm_runner.cache
+    assert [event["reason"] for event in cache.events
+            if event["event"] == "cache.quarantined"] == [reason]
+    assert cache.stats.hits == 4 and cache.stats.misses == 0
+    assert cache.stats.quarantined == 1
+    sources = {event["design"]: event["source"] for event in cache.events
+               if event["event"] == "impact.design-key"}
+    assert len(sources) == 4 and sources["memo_b::rtl"] == "index"
+    with open(path, "r", encoding="utf-8") as handle:
+        assert json.load(handle)["record"]["design"] == "memo_b::rtl"
+    assert warm_report.render() == report.render()
+    assert _snapshot(tmp_path / "warm") == _snapshot(tmp_path / "cold")

@@ -1,6 +1,7 @@
 """End-to-end proof of incremental regression soundness.
 
-The contract under test (the ISSUE's acceptance criteria):
+Every cached batch keys its entries on cone-scoped design keys.  The
+contract under test:
 
 * a **comment-only edit** to a design source re-runs **zero**
   simulation jobs — proven by re-running the edited tree under a
@@ -12,8 +13,8 @@ The contract under test (the ISSUE's acceptance criteria):
 * an **opaque process** (unrecoverable source) degrades the whole
   design to the monolithic source hash with a structured diagnostic —
   conservative, never stale;
-* incremental mode without a result cache is a configuration error
-  everywhere it can be requested (runner, flow, CLI).
+* re-running a **subset** of a filled batch is served entirely from
+  the cache: a design's key does not depend on its batch-mates.
 
 The edit tests run real subprocess batches against a *copy* of the
 package tree, because a source edit cannot be applied to an
@@ -32,11 +33,9 @@ import pytest
 from repro.analysis import impact as impact_mod
 from repro.analysis.impact import MODE_OPAQUE, ImpactIndex
 from repro.cache import design_source_hash
-from repro.regression import RegressionRunner
 from repro.regression.chaos import CHAOS_ENV
 from repro.regression.cli import main as regression_main
-from repro.regression.configs import save_config_dir
-from repro.regression.flow import CommonVerificationFlow
+from repro.regression.configs import configuration_matrix, save_config_dir
 from repro.stbus import NodeConfig, ProtocolType
 
 REPO_SRC = os.path.abspath(
@@ -82,7 +81,7 @@ def _run_batch(src, cfg_dir, workdir, cache_dir, metrics,
          "--workdir", str(workdir),
          "--tests", "t01_sanity_write_read", "--seeds", "1",
          "--skip-lint", "--cache-dir", str(cache_dir),
-         "--incremental", "--metrics-out", str(metrics)],
+         "--metrics-out", str(metrics)],
         capture_output=True, text=True, env=env)
     # Exit 1 is the expected not-signed-off verdict for this deliberately
     # tiny batch (one test, one seed, coverage far below threshold);
@@ -185,21 +184,36 @@ def test_opaque_process_degrades_to_whole_design(monkeypatch):
     assert "opaque-process" in fallbacks[0]["reason"]
 
 
-def test_runner_rejects_incremental_without_cache(tmp_path):
-    with pytest.raises(ValueError, match="result cache"):
-        RegressionRunner([_config()], tests=["t01_sanity_write_read"],
-                         seeds=[1], workdir=str(tmp_path / "work"),
-                         incremental=True)
-
-
-def test_flow_rejects_incremental_without_cache():
-    with pytest.raises(ValueError, match="result cache"):
-        CommonVerificationFlow(_config(), incremental=True)
-
-
-def test_cli_rejects_incremental_without_cache(
-        tmp_path, capsys, monkeypatch):
+def test_subset_rerun_is_served_from_cache(tmp_path, monkeypatch):
+    """Fill the cache with two matrix configurations, then re-run one of
+    them alone: every run hits (any simulation would crash), because a
+    design's key is the same whichever configurations share its batch,
+    and the outputs equal a cold run of that configuration."""
+    by_name = {config.name: config for config in configuration_matrix()}
+    pair = [by_name["cfg26_t2_1x1_w32_full_lru"],
+            by_name["cfg01_t2_3x2_w32_full_programmable_priority"]]
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert regression_main([str(tmp_path), "--incremental"]) == 2
-    assert "--incremental requires a result cache" \
-        in capsys.readouterr().err
+    monkeypatch.delenv(CHAOS_ENV, raising=False)
+
+    def run(configs, name, cache):
+        cfg = tmp_path / f"{name}_cfg"
+        save_config_dir(configs, str(cfg))
+        metrics = tmp_path / f"{name}.json"
+        assert regression_main(
+            [str(cfg), "--workdir", str(tmp_path / name),
+             "--tests", "t01_sanity_write_read", "--seeds", "1",
+             "--skip-lint", "--cache-dir", str(tmp_path / cache),
+             "--metrics-out", str(metrics)]) in (0, 1)
+        with open(metrics, "r", encoding="utf-8") as handle:
+            return json.load(handle)["batch"]
+
+    assert run(pair, "full", "cache")["cache"]["misses"] == 4
+    run(pair[:1], "cold", "fresh_cache")
+    monkeypatch.setenv(CHAOS_ENV, "crash:*:*:*:*")
+    subset = run(pair[:1], "subset", "cache")
+    assert subset["cache"] == {
+        "hits": 2, "misses": 0, "stores": 0,
+        "verify_failures": 0, "quarantined": 0,
+    }
+    assert subset["impact"]["impact.memo_hits"] == 2
+    assert _snapshot(tmp_path / "subset") == _snapshot(tmp_path / "cold")
