@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..telemetry import ALIGNMENT_BUCKETS, NULL_TELEMETRY, Telemetry
-from ..vcd import VcdFile, VcdParseError, parse_vcd
+from ..vcd import VcdFile, VcdParseError, diff_signals, parse_vcd
 from .extract import PORT_SIGNALS, ExtractionError, discover_ports
 
 #: The paper's sign-off threshold.
@@ -109,13 +109,46 @@ def _parse_dump(source: Union[str, VcdFile]) -> VcdFile:
         ) from exc
 
 
+def _align_port(vcd_a: VcdFile, vcd_b: VcdFile, scope: str,
+                total: int) -> PortAlignment:
+    """One port's alignment over cycles ``0..total-1``: a cycle is
+    misaligned when any of the port's signals differs on it."""
+    diverged: List[Tuple[int, int, str, List[Tuple[int, int]]]] = []
+    for rank, leaf in enumerate(PORT_SIGNALS):
+        name = f"{scope}.{leaf}"
+        if name not in vcd_a or name not in vcd_b:
+            raise ExtractionError(f"signal {name!r} missing from a dump")
+        intervals = diff_signals(vcd_a[name], vcd_a.timescale,
+                                 vcd_b[name], vcd_b.timescale, total)
+        if intervals:
+            diverged.append((intervals[0][0], rank, leaf, intervals))
+    if not diverged:
+        return PortAlignment(scope, total, total, None, {})
+    # Keyed in the order a cycle-by-cycle walk meets the signals: by
+    # first mismatching cycle, then by PORT_SIGNALS position.
+    diverged.sort()
+    mismatches = {
+        leaf: sum(end - first for first, end in intervals)
+        for _, _, leaf, intervals in diverged
+    }
+    misaligned = 0
+    reach = 0  # end of the union of the intervals seen so far
+    for first, end in sorted(
+            span for *_, intervals in diverged for span in intervals):
+        if end > reach:
+            misaligned += end - max(first, reach)
+            reach = end
+    return PortAlignment(scope, total, total - misaligned, diverged[0][0],
+                         mismatches)
+
+
 def compare_vcds(
     a: Union[str, VcdFile],
     b: Union[str, VcdFile],
     scopes: Optional[Sequence[str]] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> AlignmentReport:
-    """Compare two dumps port by port, cycle by cycle.
+    """Compare two dumps port by port over their common cycles.
 
     ``a`` and ``b`` are VCD paths or parsed files (conventionally the RTL
     and the BCA run of the same test and seed).  Ports present in either
@@ -141,31 +174,7 @@ def compare_vcds(
     report_ports: Dict[str, PortAlignment] = {}
     with tele.span("analyzer.align", ports=len(scopes), cycles=total):
         for scope in scopes:
-            aligned = 0
-            first_divergence: Optional[int] = None
-            mismatches: Dict[str, int] = {}
-            series_a = {}
-            series_b = {}
-            for leaf in PORT_SIGNALS:
-                name = f"{scope}.{leaf}"
-                if name not in vcd_a or name not in vcd_b:
-                    raise ExtractionError(
-                        f"signal {name!r} missing from a dump")
-                series_a[leaf] = vcd_a[name].expand(total, vcd_a.timescale)
-                series_b[leaf] = vcd_b[name].expand(total, vcd_b.timescale)
-            for cycle in range(total):
-                ok = True
-                for leaf in PORT_SIGNALS:
-                    if series_a[leaf][cycle] != series_b[leaf][cycle]:
-                        ok = False
-                        mismatches[leaf] = mismatches.get(leaf, 0) + 1
-                if ok:
-                    aligned += 1
-                elif first_divergence is None:
-                    first_divergence = cycle
-            report_ports[scope] = PortAlignment(
-                scope, total, aligned, first_divergence, mismatches
-            )
+            report_ports[scope] = _align_port(vcd_a, vcd_b, scope, total)
     if tele.enabled:
         hist = tele.registry.histogram(
             "analyzer.port_alignment_rate", buckets=ALIGNMENT_BUCKETS)

@@ -1,18 +1,19 @@
-"""First-divergence localization: lockstep walk over two VCD dumps.
+"""First-divergence localization over two VCD dumps.
 
 The bus analyzer answers "how aligned are the ports"; this module answers
 the engineer's next question — *where exactly* did the two models split.
-Both dumps are walked cycle by cycle over the signals they share, and the
-first (cycle, signal) point at which the values differ is reported, with
-ties inside one cycle broken by signal name so the answer is
-deterministic for any dump order.
+Every signal the dumps share is compared with the analyzer's own
+per-signal primitive (:func:`~repro.vcd.diff_signals`, a merge walk over
+per-cycle step functions), and the first (cycle, signal) point at which
+the values differ is reported, with ties inside one cycle broken by
+signal name so the answer is deterministic for any dump order.
 
 Design notes, pinned by the edge-case tests:
 
 * Only signals present in **both** dumps are compared.  The RTL and BCA
   views legitimately differ inside ``tb.dut.``, so view-private signals
-  are reported (``only_in_a``/``only_in_b``) but never walked.
-* The walk is keyed by hierarchical name, so the ``$var`` declaration
+  are reported (``only_in_a``/``only_in_b``) but never compared.
+* The comparison is keyed by hierarchical name, so the ``$var`` declaration
   order of the two files is irrelevant.
 * ``x``/``z`` digits were already mapped to 0 by the parser; a signal
   that is X in one dump and 0 in the other therefore compares equal.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..vcd import VcdFile, parse_vcd
+from ..vcd import VcdFile, diff_signals, parse_vcd
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class SignalDivergence:
 
 @dataclass
 class DivergenceScan:
-    """Outcome of one lockstep walk."""
+    """Outcome of one divergence scan."""
 
     #: The earliest divergence — smallest cycle, then smallest signal
     #: name — or ``None`` when the shared signals agree everywhere.
@@ -62,11 +63,11 @@ class DivergenceScan:
     #: Signals only one dump declares — never compared.
     only_in_a: Tuple[str, ...]
     only_in_b: Tuple[str, ...]
-    #: Cycles walked: ``min`` of the two dump lengths.
+    #: Cycles compared: ``min`` of the two dump lengths.
     total_cycles: int
     #: True when the dumps covered different cycle counts.
     truncated: bool
-    #: Per-signal mismatch counts over the whole walk (diagnostics).
+    #: Per-signal mismatch counts over the whole scan (diagnostics).
     mismatch_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -89,9 +90,9 @@ def find_first_divergence(
     b: Union[str, VcdFile],
     signals: Optional[Sequence[str]] = None,
 ) -> DivergenceScan:
-    """Walk ``a`` and ``b`` in lockstep to their first diverging point.
+    """Find the first point at which ``a`` and ``b`` diverge.
 
-    ``signals`` optionally restricts the walk to those names (missing
+    ``signals`` optionally restricts the scan to those names (missing
     ones are silently classified as one-sided); by default every signal
     the dumps share is compared.
     """
@@ -106,36 +107,30 @@ def find_first_divergence(
     total = min(vcd_a.n_cycles, vcd_b.n_cycles)
     truncated = vcd_a.n_cycles != vcd_b.n_cycles
 
-    series: List[Tuple[str, List[int], List[int]]] = []
+    diverged: List[Tuple[str, List[Tuple[int, int]]]] = []
     for name in shared:
-        sa = vcd_a[name].expand(total, vcd_a.timescale)
-        sb = vcd_b[name].expand(total, vcd_b.timescale)
-        if sa != sb:
-            series.append((name, sa, sb))
-    mismatch_counts: Dict[str, int] = {}
-    first_cycle: Optional[int] = None
-    for name, sa, sb in series:
-        count = 0
-        earliest: Optional[int] = None
-        for cycle in range(total):
-            if sa[cycle] != sb[cycle]:
-                count += 1
-                if earliest is None:
-                    earliest = cycle
-        mismatch_counts[name] = count
-        if earliest is not None and (first_cycle is None
-                                     or earliest < first_cycle):
-            first_cycle = earliest
-    if first_cycle is None:
+        intervals = diff_signals(vcd_a[name], vcd_a.timescale,
+                                 vcd_b[name], vcd_b.timescale, total)
+        if intervals:
+            diverged.append((name, intervals))
+    mismatch_counts = {
+        name: sum(end - first for first, end in intervals)
+        for name, intervals in diverged
+    }
+    if not diverged:
         return DivergenceScan(
             first=None, at_first_cycle=(), compared=tuple(shared),
             only_in_a=only_a, only_in_b=only_b, total_cycles=total,
             truncated=truncated, mismatch_counts=mismatch_counts,
         )
+    first_cycle = min(intervals[0][0] for _, intervals in diverged)
     at_first = tuple(
-        SignalDivergence(name, first_cycle, sa[first_cycle], sb[first_cycle])
-        for name, sa, sb in series
-        if sa[first_cycle] != sb[first_cycle]
+        SignalDivergence(
+            name, first_cycle,
+            vcd_a[name].value_at(first_cycle * vcd_a.timescale),
+            vcd_b[name].value_at(first_cycle * vcd_b.timescale))
+        for name, intervals in diverged
+        if intervals[0][0] == first_cycle
     )
     return DivergenceScan(
         first=at_first[0], at_first_cycle=at_first, compared=tuple(shared),

@@ -5,7 +5,9 @@ analyzer parses the RTL and BCA dumps back and compares them per cycle.
 """
 
 from .writer import VcdWriter, dump_to_string, make_identifier
-from .parser import VcdFile, VcdParseError, VcdSignal, parse_vcd
+from .parser import (
+    VcdFile, VcdParseError, VcdSignal, diff_signals, parse_vcd,
+)
 
 __all__ = [
     "VcdWriter",
@@ -15,4 +17,5 @@ __all__ = [
     "VcdSignal",
     "VcdParseError",
     "parse_vcd",
+    "diff_signals",
 ]

@@ -3,14 +3,18 @@
 Parses the subset of IEEE 1364 VCD that simulators emit for 2-state designs
 (``$scope``/``$var`` headers, scalar ``0<id>``/``1<id>`` and vector
 ``b<bits> <id>`` changes, ``x``/``z`` digits mapped to 0).  The result is a
-:class:`VcdFile` whose signals can be expanded to one value per clock cycle —
-the representation the bus analyzer compares across the RTL and BCA runs.
+:class:`VcdFile` whose signals can be expanded to one value per clock cycle,
+or run-length encoded as a per-cycle step function — the representation the
+bus analyzer and the triage divergence search compare across the RTL and BCA
+runs (:func:`diff_signals`).  Timestamps must not decrease.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
 import io
+from functools import partial
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 
 class VcdParseError(Exception):
@@ -53,6 +57,76 @@ class VcdSignal:
             out.append(value)
         return out
 
+    def steps(self, n_cycles: int,
+              timescale: int) -> Tuple[List[int], List[int]]:
+        """Per-cycle values for cycles ``0..n_cycles-1`` as a step function.
+
+        Returns ``(starts, values)``: the signal holds ``values[k]`` from
+        cycle ``starts[k]`` up to the next start (or ``n_cycles``).  This
+        is exactly :meth:`expand` run-length encoded: a change at time
+        ``t`` lands on cycle ``ceil(t / timescale)``, the last change on
+        a cycle wins, equal neighbours are merged and the first step
+        starts at cycle 0.  Two signals expand to the same list if and
+        only if their steps are equal.
+        """
+        if n_cycles <= 0:
+            return [], []
+        starts = [0]
+        values = [0]
+        for when, value in self.changes:
+            if timescale > 0:
+                cycle = -(-when // timescale)
+            elif when > 0:
+                break
+            else:
+                cycle = 0
+            if cycle >= n_cycles:
+                break
+            if cycle <= starts[-1]:  # same cycle: the later change wins
+                values[-1] = value
+                if len(values) > 1 and values[-2] == value:
+                    starts.pop()
+                    values.pop()
+            elif value != values[-1]:
+                starts.append(cycle)
+                values.append(value)
+        return starts, values
+
+
+def diff_signals(a: VcdSignal, timescale_a: int, b: VcdSignal,
+                 timescale_b: int, n_cycles: int) -> List[Tuple[int, int]]:
+    """The cycles of ``0..n_cycles-1`` on which ``a`` and ``b`` expand to
+    different values, as sorted, disjoint, non-adjacent half-open
+    ``(first, end)`` intervals: a merge walk over their :meth:`steps`."""
+    out: List[Tuple[int, int]] = []
+    if a.changes == b.changes and timescale_a == timescale_b:
+        return out  # equal without being stepped: the common, aligned case
+    starts_a, values_a = a.steps(n_cycles, timescale_a)
+    starts_b, values_b = b.steps(n_cycles, timescale_b)
+    last_a = len(starts_a) - 1
+    last_b = len(starts_b) - 1
+    i = j = 0
+    cycle = 0
+    lo = -1  # start of the open mismatch interval, -1 when none
+    while cycle < n_cycles:
+        next_a = starts_a[i + 1] if i < last_a else n_cycles
+        next_b = starts_b[j + 1] if j < last_b else n_cycles
+        end = next_a if next_a < next_b else next_b
+        if values_a[i] != values_b[j]:
+            if lo < 0:
+                lo = cycle
+        elif lo >= 0:
+            out.append((lo, cycle))
+            lo = -1
+        if next_a == end:
+            i += 1
+        if next_b == end:
+            j += 1
+        cycle = end
+    if lo >= 0:
+        out.append((lo, n_cycles))
+    return out
+
 
 class VcdFile:
     """Parsed VCD: timescale, declared signals, and the final timestamp."""
@@ -81,6 +155,8 @@ class VcdFile:
 
 def _parse_vector(token: str) -> int:
     """Parse the binary digits of a vector change, mapping x/z to 0."""
+    if not token:
+        raise VcdParseError("empty vector value")
     value = 0
     for ch in token:
         value <<= 1
@@ -107,14 +183,22 @@ def parse_vcd(source: Union[str, io.TextIOBase], is_path: Optional[bool] = None)
     return _parse_stream(source)
 
 
-def _tokens(stream) -> Iterator[str]:
-    for line in stream:
-        for token in line.split():
-            yield token
+def _token_blocks(stream, size: int = 1 << 14) -> Iterator[List[str]]:
+    """The whitespace-separated tokens of ``stream``, one list per block
+    of ``size`` characters read: every token is split off at C speed,
+    yet memory stays bounded by the block size for any dump."""
+    tail = ""
+    for block in iter(partial(stream.read, size), ""):
+        tokens = (tail + block).split()
+        # A block that ends mid-token carries the fragment to the next.
+        tail = "" if block[-1].isspace() else tokens.pop()
+        yield tokens
+    if tail:
+        yield [tail]
 
 
 def _parse_stream(stream) -> VcdFile:
-    tokens = _tokens(stream)
+    tokens = chain.from_iterable(_token_blocks(stream))
     timescale = 1
     by_ident: Dict[str, List[VcdSignal]] = {}
     scope: List[str] = []
@@ -153,6 +237,8 @@ def _parse_stream(stream) -> VcdFile:
             if len(body) < 4:
                 raise VcdParseError(f"bad $var {body!r}")
             width = int(body[1])
+            if width < 0:
+                raise VcdParseError(f"bad $var {body!r}")
             ident = body[2]
             leaf = body[3]  # ignore optional [msb:lsb] reference tail
             name = ".".join(scope + [leaf])
@@ -173,10 +259,20 @@ def _parse_stream(stream) -> VcdFile:
         raise VcdParseError("no $enddefinitions in input")
 
     # -- value changes -------------------------------------------------------
+    # An identifier with one owner gets its bound ``changes.append`` and
+    # width mask; only identifiers shared by several $vars loop.
+    single: Dict[str, Tuple[Callable[[Tuple[int, int]], None], int]] = {}
+    shared: Dict[str, List[VcdSignal]] = {}
+    for ident, group in by_ident.items():
+        if len(group) == 1:
+            single[ident] = (group[0].changes.append,
+                             (1 << group[0].width) - 1)
+        else:
+            shared[ident] = group
     time = 0
 
-    def record(ident: str, value: int) -> None:
-        group = by_ident.get(ident)
+    def record_shared(ident: str, value: int) -> None:
+        group = shared.get(ident)
         if group is None:
             raise VcdParseError(f"value change for undeclared id {ident!r}")
         for sig in group:
@@ -184,28 +280,42 @@ def _parse_stream(stream) -> VcdFile:
 
     for token in tokens:
         first = token[0]
-        if first == "#":
-            time = int(token[1:])
-            if time > vcd.end_time:
-                vcd.end_time = time
+        if first == "b" or first == "B":
+            bits = token[1:]
+            ident = next(tokens, None)
+            if ident is None:
+                raise VcdParseError("vector change missing identifier")
+            if bits and not bits.strip("01"):
+                value = int(bits, 2)
+            else:
+                value = _parse_vector(bits)
+            sink = single.get(ident)
+            if sink is None:
+                record_shared(ident, value)
+            else:
+                sink[0]((time, value & sink[1]))
+        elif first in "01xXzZ":
+            value = 1 if first == "1" else 0
+            sink = single.get(token[1:])
+            if sink is None:
+                record_shared(token[1:], value)
+            else:
+                sink[0]((time, value & sink[1]))
+        elif first == "#":
+            stamp = int(token[1:])
+            if stamp < time:
+                raise VcdParseError(
+                    f"timestamp #{stamp} follows #{time}: "
+                    "time must not go backwards")
+            time = stamp
         elif token in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end"):
             continue
-        elif first in "01xXzZ":
-            record(token[1:], 1 if first == "1" else 0)
-        elif first in "bB":
-            bits = token[1:]
-            try:
-                ident = next(tokens)
-            except StopIteration:
-                raise VcdParseError("vector change missing identifier")
-            record(ident, _parse_vector(bits))
         elif first in "rR":
-            try:
-                next(tokens)  # real values unsupported; skip id
-            except StopIteration:
+            if next(tokens, None) is None:  # real values unsupported; skip id
                 raise VcdParseError("real change missing identifier")
         elif first == "$":
             skip_to_end()
         else:
             raise VcdParseError(f"unexpected token {token!r} in value section")
+    vcd.end_time = time
     return vcd

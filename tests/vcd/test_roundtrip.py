@@ -14,6 +14,7 @@ from repro.vcd import (
     make_identifier,
     parse_vcd,
 )
+from repro.vcd.parser import _token_blocks
 
 
 def test_identifier_sequence_unique():
@@ -106,6 +107,68 @@ def test_parse_handles_x_and_z():
     assert vcd["a"].value_at(0) == 0b1010
 
 
+VECTOR_HEADER = (
+    "$timescale 10ns $end\n"
+    "$var wire 4 ! a $end\n"
+    "$enddefinitions $end\n"
+)
+
+
+def test_parse_rejects_time_going_backwards():
+    text = (
+        "$timescale 10ns $end\n"
+        "$var wire 1 ! a $end\n"
+        "$enddefinitions $end\n"
+        "#0\n0!\n#30\n1!\n#10\n0!\n#40\n"
+    )
+    with pytest.raises(VcdParseError, match=r"#10 follows #30"):
+        parse_vcd(text)
+
+
+def test_parse_accepts_a_repeated_timestamp():
+    vcd = parse_vcd(VECTOR_HEADER + "#0\nb1 !\n#10\n#10\nb11 !\n#20\n")
+    assert vcd["a"].changes == [(0, 1), (10, 3)]
+    assert vcd.end_time == 20
+
+
+def test_parse_rejects_negative_width():
+    text = "$var wire -1 ! a $end\n$enddefinitions $end\n"
+    with pytest.raises(VcdParseError, match=r"bad \$var"):
+        parse_vcd(text)
+
+
+def test_parse_rejects_empty_vector():
+    with pytest.raises(VcdParseError, match="empty vector"):
+        parse_vcd(VECTOR_HEADER + "#0\nb !\n#10\n")
+
+
+@pytest.mark.parametrize("bits", ["1_0", "-1", "+1", "0b1", "12"])
+def test_parse_rejects_bad_vector_digits(bits):
+    # int(bits, 2) alone would accept an underscore, a sign or a prefix.
+    with pytest.raises(VcdParseError, match="bad vector digit"):
+        parse_vcd(VECTOR_HEADER + f"#0\nb{bits} !\n#10\n")
+
+
+def test_parse_masks_vectors_to_the_declared_width():
+    vcd = parse_vcd(VECTOR_HEADER + "#0\nb110101 !\n#10\n")
+    assert vcd["a"].value_at(0) == 0b0101
+
+
+def test_parse_shared_identifier_feeds_every_owner():
+    text = (
+        "$timescale 10ns $end\n"
+        "$scope module top $end\n"
+        "$var wire 4 ! wide $end\n"
+        "$var wire 2 ! narrow $end\n"
+        "$upscope $end\n"
+        "$enddefinitions $end\n"
+        "#0\nb1111 !\n#10\nb0110 !\n#20\n"
+    )
+    vcd = parse_vcd(text)
+    assert vcd["top.wide"].changes == [(0, 15), (10, 6)]
+    assert vcd["top.narrow"].changes == [(0, 3), (10, 2)]
+
+
 def test_writer_only_emits_changes():
     text = simulate_counter_vcd(cycles=4)
     # flag toggles every cycle, count changes every cycle: each cycle
@@ -129,3 +192,12 @@ def test_roundtrip_property(rows):
     vcd = parse_vcd(text)
     assert vcd["x"].expand(len(rows), vcd.timescale) == [x for x, _ in rows]
     assert vcd["y"].expand(len(rows), vcd.timescale) == [y for _, y in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab \n", max_size=40), st.integers(1, 6))
+def test_token_blocks_split_like_one_buffer(text, size):
+    """Tokens cut by a block boundary are rejoined, whatever the size."""
+    blocks = _token_blocks(io.StringIO(text), size=size)
+    assert [token for block in blocks for token in block] == text.split()
+
