@@ -586,14 +586,7 @@ class BcaNode(Module):
         for t, port in enumerate(self.targ_ports):
             item = visible.get(t)
             if item is None:
-                port.idle_request()
-                port.add.drive(0)
-                port.opc.drive(0)
-                port.data.drive(0)
-                port.be.drive(0)
-                port.tid.drive(0)
-                port.src.drive(0)
-                port.pri.drive(0)
+                port.clear_request()
             else:
                 port.drive_request(item.cell)
         visible_resp: Dict[int, _RespItem] = {}
@@ -604,11 +597,7 @@ class BcaNode(Module):
         for i, port in enumerate(self.init_ports):
             item = visible_resp.get(i)
             if item is None:
-                port.idle_response()
-                port.r_opc.drive(0)
-                port.r_data.drive(0)
-                port.r_src.drive(0)
-                port.r_tid.drive(0)
+                port.clear_response()
             else:
                 port.drive_response(item.cell)
 

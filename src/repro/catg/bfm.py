@@ -122,12 +122,6 @@ class InitiatorBfm(Module):
         if self._cells:
             port.drive_request(self._cells[self._cell_idx])
         else:
-            port.idle_request()
-            port.add.drive(0)
-            port.opc.drive(0)
-            port.data.drive(0)
-            port.be.drive(0)
-            port.tid.drive(0)
-            port.pri.drive(0)
+            port.clear_request()
         port.src.drive(0)  # src is meaningful only on the node's target side
         port.r_gnt.drive(1)  # the BFM always absorbs response cells

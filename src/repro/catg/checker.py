@@ -71,6 +71,22 @@ class _PendingResponse:
     src: int
 
 
+def _request_fields(port: StbusPort) -> tuple:
+    """The request fields that must hold steady until granted."""
+    return (
+        port.add.value, port.opc.value, port.data.value, port.be.value,
+        port.eop.value, port.lck.value, port.tid.value, port.pri.value,
+    )
+
+
+def _response_fields(port: StbusPort) -> tuple:
+    """The response fields that must hold steady until granted."""
+    return (
+        port.r_opc.value, port.r_data.value, port.r_eop.value,
+        port.r_src.value, port.r_tid.value,
+    )
+
+
 class ProtocolChecker(Module):
     """STBus Type II/III interface rule checker for one port."""
 
@@ -93,8 +109,9 @@ class ProtocolChecker(Module):
         self.index = index
         self.protocol = protocol
         self.report = report
-        self._prev_req: Optional[tuple] = None  # (req, gnt, fields)
-        self._prev_resp: Optional[tuple] = None
+        # Fields of a channel held (valid, not granted) last cycle.
+        self._req_held: Optional[tuple] = None
+        self._resp_held: Optional[tuple] = None
         self._open: Optional[_OpenRequest] = None
         self._pending: List[_PendingResponse] = []
         self._resp_cells_seen = 0
@@ -110,44 +127,47 @@ class ProtocolChecker(Module):
     # -- per-cycle sampling --------------------------------------------------
 
     def _clk(self) -> None:
+        # A channel's fields are captured only while it is held (valid
+        # but not granted) and compared on the next cycle; an idle or
+        # granted channel costs two pin reads.
         port = self.port
         req = port.req.value
-        gnt = port.gnt.value
-        fields = (
-            port.add.value, port.opc.value, port.data.value, port.be.value,
-            port.eop.value, port.lck.value, port.tid.value, port.pri.value,
-        )
-        if self._prev_req is not None:
-            prev_req, prev_gnt, prev_fields = self._prev_req
-            if prev_req and not prev_gnt:
-                if not req:
-                    self._fail("REQ_DROPPED",
-                               "req deasserted before grant")
-                elif fields != prev_fields:
+        held = self._req_held
+        fields = None
+        if held is not None:
+            if not req:
+                self._fail("REQ_DROPPED", "req deasserted before grant")
+            else:
+                fields = _request_fields(port)
+                if fields != held:
                     self._fail("REQ_UNSTABLE",
                                "request fields changed while ungranted")
-        if req and gnt:
+        if req and port.gnt.value:
+            self._req_held = None
             self._check_request_cell(port)
-        self._prev_req = (req, gnt, fields)
+        elif req:
+            self._req_held = fields or _request_fields(port)
+        else:
+            self._req_held = None
 
         r_req = port.r_req.value
-        r_gnt = port.r_gnt.value
-        r_fields = (
-            port.r_opc.value, port.r_data.value, port.r_eop.value,
-            port.r_src.value, port.r_tid.value,
-        )
-        if self._prev_resp is not None:
-            prev_r, prev_g, prev_f = self._prev_resp
-            if prev_r and not prev_g:
-                if not r_req:
-                    self._fail("RESP_DROPPED",
-                               "r_req deasserted before grant")
-                elif r_fields != prev_f:
+        held = self._resp_held
+        fields = None
+        if held is not None:
+            if not r_req:
+                self._fail("RESP_DROPPED", "r_req deasserted before grant")
+            else:
+                fields = _response_fields(port)
+                if fields != held:
                     self._fail("RESP_UNSTABLE",
                                "response fields changed while ungranted")
-        if r_req and r_gnt:
+        if r_req and port.r_gnt.value:
+            self._resp_held = None
             self._check_response_cell(port)
-        self._prev_resp = (r_req, r_gnt, r_fields)
+        elif r_req:
+            self._resp_held = fields or _response_fields(port)
+        else:
+            self._resp_held = None
 
     # -- request packet rules ---------------------------------------------------
 

@@ -345,6 +345,25 @@ class VerificationEnv:
             },
         )
 
+    def release(self) -> None:
+        """Free the environment once its run is over.
+
+        The simulator, its modules and their bound processes reference
+        each other in cycles; left alone, every finished run would wait
+        for a full garbage collection.  This unlinks the module tree and
+        the kernel's references (see :meth:`Simulator.release`), so the
+        graph is freed as soon as the environment is dropped.  The
+        :class:`RunResult` is unaffected; the environment cannot run
+        again.
+        """
+        stack = [self.top]
+        while stack:
+            module = stack.pop()
+            stack.extend(module.children)
+            module.children = []
+            module.parent = None
+        self.sim.release()
+
 
 def run_test(
     config: NodeConfig,
@@ -363,4 +382,7 @@ def run_test(
         telemetry=telemetry, time_processes=time_processes,
     )
     env.load_test(test)
-    return env.run()
+    try:
+        return env.run()
+    finally:
+        env.release()

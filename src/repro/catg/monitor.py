@@ -114,9 +114,11 @@ class PortMonitor(Module):
         self._resp_subs.append(callback)
 
     def _clk(self) -> None:
-        cycle = self.sim.now - 1  # the cycle whose values we sampled
         port = self.port
-        if port.request_fired:
+        # The handshakes are tested on the pins directly: this runs for
+        # every port every cycle, and most cycles fire nothing.
+        if port.req.value and port.gnt.value:
+            cycle = self.sim.now - 1  # the cycle whose values we sampled
             if not self._req_cells:
                 self._req_start = cycle
             cell = port.request_cell()
@@ -131,7 +133,8 @@ class PortMonitor(Module):
                     self.requests.append(obs)
                 for callback in self._req_subs:
                     callback(obs)
-        if port.response_fired:
+        if port.r_req.value and port.r_gnt.value:
+            cycle = self.sim.now - 1
             if not self._resp_cells:
                 self._resp_start = cycle
             cell = port.response_cell()

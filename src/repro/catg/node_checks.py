@@ -132,15 +132,18 @@ class ArbitrationChecker(Module):
 
     # -- the reference grant function -----------------------------------------
 
-    def _expected_grants(self) -> List[int]:
+    def _destinations(self) -> List[Optional[int]]:
+        """Every initiator's :meth:`_destination`, decoded once."""
+        return [self._destination(i) for i in range(self.config.n_initiators)]
+
+    def _expected_grants(self, dests: List[Optional[int]]) -> List[int]:
         grants = [0] * self.config.n_initiators
         for domain in range(len(self._arb)):
             fired = self._domain_fired(domain)
             if not (fired or self._occupancy[domain] < self.config.pipe_depth):
                 continue
             candidates = []
-            for i in range(self.config.n_initiators):
-                dest = self._destination(i)
+            for i, dest in enumerate(dests):
                 if dest is None or dest == ERROR_TARGET:
                     continue
                 if self._domain(dest) != domain:
@@ -160,8 +163,7 @@ class ArbitrationChecker(Module):
                 winner = self._arb[domain].pick(candidates)
             if winner is not None:
                 grants[winner] = 1
-        for i in range(self.config.n_initiators):
-            dest = self._destination(i)
+        for i, dest in enumerate(dests):
             if dest != ERROR_TARGET:
                 continue
             if self._route[i] is not None or self._may_open(i, ERROR_TARGET):
@@ -172,7 +174,8 @@ class ArbitrationChecker(Module):
 
     def _clk(self) -> None:
         cycle = self.sim.now - 1
-        expected = self._expected_grants()
+        dests = self._destinations()
+        expected = self._expected_grants(dests)
         for i, port in enumerate(self.init_ports):
             actual = port.gnt.value
             if actual != expected[i]:
@@ -183,14 +186,15 @@ class ArbitrationChecker(Module):
                     f"(policy {self.config.arbitration.value})",
                 )
         self.checked_cycles += 1
-        self._update_state()
+        self._update_state(dests)
 
-    def _update_state(self) -> None:
+    def _update_state(self, dests: List[Optional[int]]) -> None:
         # Cells leaving toward targets free pipe slots.
         for t, port in enumerate(self.targ_ports):
             if port.req.value and port.gnt.value:
                 self._occupancy[self._domain(t)] -= 1
-        # Granted request cells.
+        # Granted request cells.  Only these change ``_route``, so only
+        # their destinations are decoded again for the ageing below.
         for i, port in enumerate(self.init_ports):
             if not (port.req.value and port.gnt.value):
                 continue
@@ -213,6 +217,7 @@ class ArbitrationChecker(Module):
             elif eop:
                 self._flights[i].append(_Flight(ERROR_TARGET, port.tid.value))
                 self._route[i] = None
+            dests[i] = self._destination(i)
         # Responses retiring at initiator ports release credit.
         for i, port in enumerate(self.init_ports):
             if port.r_req.value and port.r_gnt.value and port.r_eop.value:
@@ -220,8 +225,7 @@ class ArbitrationChecker(Module):
         # Per-cycle arbiter ageing (identical rule to the specification).
         for domain, arbiter in enumerate(self._arb):
             waiting = []
-            for i in range(self.config.n_initiators):
-                dest = self._destination(i)
+            for i, dest in enumerate(dests):
                 if dest is not None and dest != ERROR_TARGET \
                         and self._domain(dest) == domain:
                     waiting.append(i)

@@ -143,11 +143,7 @@ class TargetHarness(Module):
         if self._resp_cells:
             port.drive_response(self._resp_cells[self._resp_idx])
         else:
-            port.idle_response()
-            port.r_opc.drive(0)
-            port.r_data.drive(0)
-            port.r_src.drive(0)
-            port.r_tid.drive(0)
+            port.clear_response()
         self._tick.drive(self._tick.value ^ 1)
 
     # -- packet semantics ---------------------------------------------------

@@ -30,6 +30,22 @@ All contracts survive the switch: :class:`WidthError` and
 process-named messages, and ``drivers`` bookkeeping still works (backed
 by a set for O(1) membership, with the ordered list kept for
 diagnostics).
+
+Claims
+------
+
+Most drives re-assert the value a signal already holds (idle buses,
+registered outputs that did not move).  Such a drive does not enter the
+simulator's commit queue: when the value equals the committed one and no
+write is pending, the signal only records a *claim* — the simulator's
+current delta epoch in ``_claim`` and the driving process in
+``_writer``.  The simulator bumps its epoch on every commit (and on an
+aborted one), so a claim lapses with its delta.  A later drive of a
+different value by another process in the same delta still raises
+:class:`MultipleDriverError` with the same text as if the first drive
+had been queued: the claimer is named as the holder and the committed
+value as the held value.  The kernel counter ``signal_commits``
+therefore counts writes that entered the commit queue, not drives.
 """
 
 from __future__ import annotations
@@ -92,6 +108,7 @@ class Signal:
         "_next",
         "_pending",
         "_writer",
+        "_claim",
         "_drivers",
         "_driver_set",
         "_sim",
@@ -113,6 +130,7 @@ class Signal:
         self._next: int = init
         self._pending = False
         self._writer: Optional[object] = None
+        self._claim = -1
         self._drivers: List[object] = []
         self._driver_set: Set[object] = set()
         self._sim: Optional["Simulator"] = None
@@ -193,6 +211,21 @@ class Signal:
             self._next = value
             self._writer = writer
             return
+        if sim is not None:
+            if value == self._value:
+                # No-op drive: claim the signal for this delta, queue
+                # nothing (see "Claims" in the module docstring).
+                self._claim = sim._epoch
+                self._writer = writer
+                return
+            if self._claim == sim._epoch and self._writer is not writer:
+                raise MultipleDriverError(
+                    multiple_driver_message(
+                        self.name, self._value,
+                        sim.process_label(self._writer),
+                        value, sim.process_label(writer),
+                    )
+                )
         self._next = value
         self._pending = True
         self._writer = writer
@@ -279,9 +312,11 @@ class _FastSignal(Signal):
 
     __slots__ = ()
 
-    @property
-    def value(self) -> int:
-        return self._value
+    #: The committed value, read straight from the ``_value`` slot: the
+    #: slot's own descriptor costs a quarter of a Python property call
+    #: on the kernel's most frequent operation.  Unlike the guarded
+    #: property it does not refuse assignment; write with :meth:`drive`.
+    value = Signal._value
 
     def __bool__(self) -> bool:
         return self._value != 0
@@ -320,6 +355,18 @@ class _FastSignal(Signal):
             self._next = value
             self._writer = writer
             return
+        if value == self._value:
+            self._claim = sim._epoch
+            self._writer = writer
+            return
+        if self._claim == sim._epoch and self._writer is not writer:
+            raise MultipleDriverError(
+                multiple_driver_message(
+                    self.name, self._value,
+                    sim.process_label(self._writer),
+                    value, sim.process_label(writer),
+                )
+            )
         self._next = value
         self._pending = True
         self._writer = writer

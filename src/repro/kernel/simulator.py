@@ -218,6 +218,9 @@ class Simulator:
         self._comb: List[Process] = []
         self._sensitivity: Dict[Signal, List[int]] = {}
         self._commit_queue: List[Signal] = []
+        # Delta epoch: bumped by every commit (and abort), so a signal
+        # whose ``_claim`` equals it was driven in the current delta.
+        self._epoch = 0
         self._tracers: List[Tracer] = []
         # Per-cycle changed-signal set, maintained only when tracers are
         # attached (the VCD writer samples just these instead of scanning
@@ -253,7 +256,7 @@ class Simulator:
         # elaborate() so they count simulated activity only.
         self.stat_deltas = 0  #: delta-loop iterations across all cycles
         self.stat_activations = 0  #: process invocations (clocked + comb)
-        self.stat_commits = 0  #: scheduled writes committed
+        self.stat_commits = 0  #: queued writes committed
         self.stat_toggles = 0  #: commits that changed a signal's value
         # Opt-in per-process cumulative wall time: None (off, default) or
         # {process name: [activations, seconds]}.
@@ -434,6 +437,7 @@ class Simulator:
         changed: List[Signal] = []
         append = changed.append
         queue, self._commit_queue = self._commit_queue, []
+        self._epoch += 1
         # Signal._commit inlined: this runs once per scheduled write and
         # the method-call overhead alone was measurable (see E5 bench).
         for sig in queue:
@@ -449,11 +453,16 @@ class Simulator:
         return changed
 
     def _abort_commits(self) -> None:
-        """Drop pending writes (recovery after a harvested settle error)."""
+        """Drop pending writes and claims (recovery after a harvested
+        settle error)."""
         for sig in self._commit_queue:
             sig._pending = False
             sig._writer = None
+            # A signal with no pending write holds ``_next == _value``:
+            # a claim does not touch ``_next`` and ``poke`` commits it.
+            sig._next = sig._value
         self._commit_queue.clear()
+        self._epoch += 1
 
     def _run_harvested(self, info: ProcessInfo) -> None:
         """Run ``info.process`` recording kernel errors instead of raising."""
@@ -643,3 +652,31 @@ class Simulator:
         self._finished = True
         for tracer in self._tracers:
             tracer.finish(self.now)
+
+    def release(self) -> None:
+        """Finish, then drop every reference between the kernel and the
+        design, so the design's object graph is freed by reference
+        counting instead of waiting for a full garbage collection.
+
+        Signals forget their simulator, drivers and last writer; the
+        simulator forgets its signals, processes and tracers.  The
+        simulator cannot run afterwards; ``now`` and the counters stay.
+        """
+        self.finish()
+        for sig in self.signals:
+            sig._sim = None
+            sig._writer = None
+            sig._drivers = []
+            sig._driver_set = set()
+        self.signals = []
+        self._clocked = []
+        self._comb = []
+        self._sensitivity = {}
+        self._commit_queue = []
+        self._tracers = []
+        self._cycle_changed = set()
+        self.comb_processes = []
+        self.clocked_processes = []
+        self.elaboration_errors = []
+        self.width_events = []
+        self.active_process = None

@@ -633,14 +633,7 @@ class RtlNode(Module):
         for t, port in enumerate(self.targ_ports):
             flit = heads.get(t)
             if flit is None:
-                port.idle_request()
-                port.add.drive(0)
-                port.opc.drive(0)
-                port.data.drive(0)
-                port.be.drive(0)
-                port.tid.drive(0)
-                port.src.drive(0)
-                port.pri.drive(0)
+                port.clear_request()
             else:
                 port.drive_request(flit.cell)
 
@@ -653,11 +646,7 @@ class RtlNode(Module):
         for i, port in enumerate(self.init_ports):
             flit = heads.get(i)
             if flit is None:
-                port.idle_response()
-                port.r_opc.drive(0)
-                port.r_data.drive(0)
-                port.r_src.drive(0)
-                port.r_tid.drive(0)
+                port.clear_response()
             else:
                 port.drive_response(flit.cell)
 

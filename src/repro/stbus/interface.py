@@ -153,6 +153,17 @@ class StbusPort:
         self.eop.drive(0)
         self.lck.drive(0)
 
+    def clear_request(self) -> None:
+        """Idle the request channel and zero every payload field."""
+        self.idle_request()
+        self.add.drive(0)
+        self.opc.drive(0)
+        self.data.drive(0)
+        self.be.drive(0)
+        self.tid.drive(0)
+        self.src.drive(0)
+        self.pri.drive(0)
+
     def drive_response(self, cell: RespCell) -> None:
         self.r_req.drive(1)
         self.r_opc.drive(cell.r_opc)
@@ -164,6 +175,14 @@ class StbusPort:
     def idle_response(self) -> None:
         self.r_req.drive(0)
         self.r_eop.drive(0)
+
+    def clear_response(self) -> None:
+        """Idle the response channel and zero every payload field."""
+        self.idle_response()
+        self.r_opc.drive(0)
+        self.r_data.drive(0)
+        self.r_src.drive(0)
+        self.r_tid.drive(0)
 
     def signals(self) -> List[Signal]:
         """All bundle signals (the analyzer's per-port comparison set)."""

@@ -158,17 +158,18 @@ class VcdWriter(Tracer):
     def _sample_from(self, cycle: int, candidates: Sequence[Signal]) -> None:
         if not self._header_written:
             self._write_header()
-        changes: List[str] = []
+        # One string per sampled cycle: the timestamp line, then every
+        # value change, joined once.
+        lines = [f"#{cycle * self.timescale_ns}"]
         last = self._last
         for sig in candidates:
             value = sig._value
             if last.get(sig) != value:
                 last[sig] = value
-                changes.append(_format_value(value, sig.width, sig.vcd_id))
-        if changes or cycle == 0:
-            self._w(f"#{cycle * self.timescale_ns}\n")
-            for line in changes:
-                self._w(line + "\n")
+                lines.append(_format_value(value, sig.width, sig.vcd_id))
+        if len(lines) > 1 or cycle == 0:
+            lines.append("")
+            self._w("\n".join(lines))
 
     def _w(self, text: str) -> None:
         self._buf.append(text)

@@ -202,3 +202,72 @@ def test_monitor_response_assembly_and_error_flag():
     rig.cycle(r_req=0, r_eop=0)
     assert len(rig.monitor.responses) == 1
     assert rig.monitor.responses[0].is_error
+
+
+def _rules(rig):
+    return [(v.rule, v.cycle) for v in rig.report.violations]
+
+
+def test_checker_response_dropped_after_long_hold():
+    rig = PortRig()
+    for _ in range(3):
+        rig.cycle(r_req=1, r_gnt=0, r_opc=0, r_eop=1, r_tid=0, r_src=0)
+    rig.cycle(r_req=0)
+    assert _rules(rig) == [("RESP_DROPPED", 3)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r_opc", 1), ("r_data", 0xDEAD), ("r_eop", 0), ("r_src", 2),
+    ("r_tid", 7),
+])
+def test_checker_response_unstable(field, value):
+    rig = PortRig()
+    held = dict(r_req=1, r_gnt=0, r_opc=0, r_data=0x55, r_eop=1, r_tid=0,
+                r_src=0)
+    rig.cycle(**held)
+    rig.cycle(**held)
+    rig.cycle(**dict(held, **{field: value}))
+    assert _rules(rig) == [("RESP_UNSTABLE", 2)]
+
+
+def test_checker_stable_response_hold_then_grant_passes():
+    rig = PortRig()
+    rig.cycle(req=1, gnt=1, add=0x40, opc=OPC_ST4, be=0xF, eop=1, tid=4)
+    rig.cycle(req=0, eop=0)
+    for _ in range(3):
+        rig.cycle(r_req=1, r_gnt=0, r_opc=0, r_eop=1, r_tid=4, r_src=0)
+    rig.cycle(r_gnt=1)
+    # After the grant the channel is free: new fields are not a change.
+    rig.cycle(r_req=0, r_gnt=0, r_eop=0, r_tid=0)
+    rig.checker.finalize()
+    assert rig.report.passed, rig.report.violations
+
+
+def test_checker_response_unstable_then_dropped_is_two_violations():
+    rig = PortRig()
+    rig.cycle(r_req=1, r_gnt=0, r_opc=0, r_eop=1, r_tid=0, r_src=0)
+    rig.cycle(r_tid=1)
+    rig.cycle(r_req=0)
+    assert _rules(rig) == [("RESP_UNSTABLE", 1), ("RESP_DROPPED", 2)]
+
+
+def test_checker_granted_request_frees_the_channel():
+    rig = PortRig()
+    rig.cycle(req=1, gnt=0, add=0x40, opc=OPC_ST4, be=0xF, eop=1, tid=0)
+    rig.cycle(gnt=1)
+    # A new packet right after the grant: different fields, no rule hit.
+    rig.cycle(req=1, gnt=1, add=0x80, opc=OPC_ST4, be=0xF, eop=1, tid=1)
+    rig.cycle(req=0, gnt=0, eop=0)
+    assert _rules(rig) == []
+
+
+def test_checker_request_and_response_held_together():
+    rig = PortRig()
+    rig.cycle(req=1, gnt=0, add=0x40, opc=OPC_ST4, be=0xF, eop=1,
+              r_req=1, r_gnt=0, r_opc=0, r_eop=1, r_tid=0, r_src=0)
+    rig.cycle(add=0x44, r_src=1)
+    rig.cycle(req=0, r_req=0)
+    assert _rules(rig) == [
+        ("REQ_UNSTABLE", 1), ("RESP_UNSTABLE", 1),
+        ("REQ_DROPPED", 2), ("RESP_DROPPED", 2),
+    ]

@@ -178,3 +178,122 @@ def test_poke_commits_immediately_on_unbound_signal():
     assert sig.value == 42
     with pytest.raises(WidthError):
         sig.poke(300)
+
+
+# -- claims: drives of the committed value skip the commit queue ------------
+
+
+def _two_writers(first_value, second_value):
+    """Two clocked processes driving ``t.out`` (committed 0) in one delta."""
+    sim = Simulator()
+    top = Module(sim, "t")
+    out = top.signal("out", width=4)
+    top.clocked(lambda: out.drive(first_value), name="first", writes=[out])
+    top.clocked(lambda: out.drive(second_value), name="second", writes=[out])
+    sim.elaborate()
+    return sim, out
+
+
+def test_claim_then_conflicting_drive_names_the_claimer():
+    sim, out = _two_writers(0, 2)
+    with pytest.raises(MultipleDriverError) as excinfo:
+        sim.step()
+    assert str(excinfo.value) == (
+        "signal 't.out': driven to 0 by process t.first and to 2 by "
+        "process t.second in the same delta cycle"
+    )
+
+
+def test_conflicting_drive_then_claim_names_the_queued_writer():
+    sim, out = _two_writers(2, 0)
+    with pytest.raises(MultipleDriverError) as excinfo:
+        sim.step()
+    assert str(excinfo.value) == (
+        "signal 't.out': driven to 2 by process t.first and to 0 by "
+        "process t.second in the same delta cycle"
+    )
+
+
+def test_external_claim_conflicts_with_a_clocked_drive():
+    sim = Simulator()
+    top = Module(sim, "t")
+    out = top.signal("out", width=4)
+    top.clocked(lambda: out.drive(5), name="proc", writes=[out])
+    sim.elaborate()
+    out.drive(0)  # the committed value, from outside any process
+    with pytest.raises(MultipleDriverError) as excinfo:
+        sim.step()
+    assert str(excinfo.value) == (
+        "signal 't.out': driven to 0 by process <external> and to 5 by "
+        "process t.proc in the same delta cycle"
+    )
+
+
+def test_claims_lapse_with_their_delta():
+    sim = Simulator()
+    top = Module(sim, "t")
+    out = top.signal("out", width=4)
+    tick = top.signal("tick")
+    top.clocked(lambda: out.drive(0), name="hold", writes=[out])
+    top.clocked(lambda: tick.drive(1), name="ticker", writes=[tick])
+    # Woken one delta after the clocked claim: a different writer and a
+    # different value, but no longer the same delta.
+    top.comb(lambda: out.drive(3) if tick.value else None, [tick],
+             name="follow")
+    sim.elaborate()
+    sim.step()
+    assert out.value == 3
+
+
+def test_redrive_back_to_the_committed_value_is_no_toggle():
+    sim = Simulator()
+    top = Module(sim, "t")
+    out = top.signal("out", width=4)
+
+    def flicker():
+        out.drive(7)
+        out.drive(0)  # back to the committed value, same writer
+
+    top.clocked(flicker, name="flicker", writes=[out])
+    sim.elaborate()
+    sim.step()
+    assert out.value == 0
+    stats = sim.stats_snapshot()
+    assert stats["signal_toggles"] == 0
+    # The write entered the queue before it was taken back.
+    assert stats["signal_commits"] == 1
+
+
+def test_committed_value_drive_is_not_queued():
+    sim, out = _two_writers(0, 0)
+    sim.run(3)
+    assert sim.stats_snapshot()["signal_commits"] == 0
+
+
+def test_harvested_settle_error_leaves_no_stale_claim():
+    sim = Simulator()
+    top = Module(sim, "t")
+    out = top.signal("out", width=4)
+    osc = top.signal("osc")
+    enable = top.signal("enable", init=1)
+    # Elaboration: ``a`` claims out = 0, then ``b`` drives 1 -> a harvested
+    # MultipleDriverError; the oscillator then overflows the settle loop.
+    top.comb(lambda: out.drive(0), [osc], name="a")
+    top.comb(lambda: out.drive(1) if enable.value else None, [enable],
+             name="b")
+    top.comb(lambda: osc.drive(osc.value ^ enable.value), [osc, enable],
+             name="osc")
+    top.clocked(lambda: enable.drive(0), name="disable", writes=[enable])
+    top.clocked(lambda: out.drive(9), name="late", writes=[out])
+    sim.elaborate(harvest_errors=True)
+    errors = [(info.name if info else None, type(exc).__name__, str(exc))
+              for info, exc in sim.elaboration_errors]
+    assert errors[0] == (
+        "t.b", "MultipleDriverError",
+        "signal 't.out': driven to 0 by process t.a and to 1 by process "
+        "t.b in the same delta cycle",
+    )
+    assert errors[-1][:2] == (None, "DeltaOverflowError")
+    # No claim of the aborted elaboration deltas survives into the run.
+    sim.step()
+    assert out.value == 9
