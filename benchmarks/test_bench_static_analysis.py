@@ -1,5 +1,5 @@
-"""Static-analysis benchmark: lift, equivalence-proof and exact-UNR
-wall times over the configuration matrix.
+"""Static-analysis benchmark: lift, equivalence-proof and UNR wall
+times over the configuration matrix.
 
 The symbolic pass only earns its place in the flow if it stays cheap
 next to simulation: a functional RTL≡BCA proof per port, for every
@@ -21,7 +21,6 @@ import pytest
 
 from repro.analysis.symbolic.equiv import check_functional_equivalence
 from repro.analysis.symbolic.lift import lift_simulator
-from repro.analysis.symbolic.reach import upgrade_unr_report
 from repro.analysis.unr import analyze_unreachability
 from repro.lint.runner import build_env
 from repro.regression.configs import configuration_matrix
@@ -71,7 +70,7 @@ def test_bench_equivalence_phase():
     start = time.perf_counter()
     n_ports = n_points = n_cycles = 0
     for config in MATRIX:
-        ports, findings, _ = check_functional_equivalence(config)
+        ports, findings = check_functional_equivalence(config)
         assert all(p.verdict == "EQUIVALENT" for p in ports), config.name
         n_ports += len(ports)
         n_points += sum(p.comb_points for p in ports)
@@ -94,24 +93,20 @@ def test_bench_equivalence_phase():
 
 
 def test_bench_reachability_phase():
-    """Probe-based UNR plus the exact interval upgrade, full matrix."""
+    """The single exact UNR pass, full matrix."""
     start = time.perf_counter()
-    n_bins = n_deltas = 0
+    n_bins = 0
     for config in MATRIX:
         report = analyze_unreachability(config)
-        upgrade = upgrade_unr_report(report, config)
-        assert upgrade.unknown_after == 0, config.name
+        assert set(report.counts()) == {"REACHABLE", "UNREACHABLE"}
         n_bins += len(report.verdicts)
-        n_deltas += len(upgrade.deltas)
     reach_s = time.perf_counter() - start
     _RESULTS.update({
         "unr_bins_decided": n_bins,
-        "unr_upgrade_deltas": n_deltas,
         "reachability_seconds": round(reach_s, 3),
         "reachability_bins_per_second": round(n_bins / reach_s, 1),
     })
-    print(f"[bench] reachability: {n_bins} bins ({n_deltas} upgraded) "
-          f"in {reach_s:.2f}s")
+    print(f"[bench] reachability: {n_bins} bins in {reach_s:.2f}s")
     assert reach_s < 30.0
 
 

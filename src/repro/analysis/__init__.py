@@ -10,15 +10,17 @@ process at a time), this package reasons about *flows*:
   tie-offs and undriven nets, plus width-derived value ranges;
 * :mod:`~repro.analysis.races` — ordering-race and clock-domain-crossing
   rules the multi-driver lint rule cannot see;
-* :mod:`~repro.analysis.unr` — coverage-unreachability proofs: a
-  REACHABLE / UNREACHABLE / UNKNOWN verdict per functional-coverage bin,
-  with the proving witness or blocking constant;
+* :mod:`~repro.analysis.unr` — coverage-unreachability proofs: one
+  exact pass giving a REACHABLE or UNREACHABLE verdict per
+  functional-coverage bin, with the proving witness or blocking
+  constant (decode errors by interval coverage of the address map);
 * :mod:`~repro.analysis.xview` — cross-view cone-equivalence check (RTL
   vs BCA cones per STBus port);
 * :mod:`~repro.analysis.symbolic` — the symbolic pass (``--symbolic``):
-  lift process bodies to a bitvector IR, prove per-port functional
-  RTL≡BCA equivalence, and upgrade the UNR decode verdicts with the
-  exact interval-coverage engine;
+  per-port functional RTL≡BCA equivalence by comb-cone enumeration and
+  bounded lockstep execution; plus the bitvector-IR lifter whose
+  closed constant drives the ``dead-net`` and ``tie-off-conflict``
+  rules consult;
 * :mod:`~repro.analysis.impact` — static change-impact analysis:
   per-process semantic fingerprints, the schema-versioned design
   fingerprint manifest + differ, fan-out-cone change closure, and the
@@ -66,7 +68,6 @@ _LAZY = {
     "cone_equivalence_findings": "xview",
     "LiftReport": "symbolic.lift",
     "SymbolicReport": "symbolic.report",
-    "UnrUpgrade": "symbolic.reach",
     "lift_process": "symbolic.lift",
     "lift_simulator": "symbolic.lift",
     "run_symbolic_analysis": "symbolic.report",

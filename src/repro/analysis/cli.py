@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--symbolic", action="store_true",
-        help="run the symbolic pass: lift process bodies to IR, prove "
-             "per-port functional RTL=BCA equivalence, and upgrade the "
-             "UNR decode verdicts with the exact interval engine",
+        help="run the symbolic pass: prove per-port functional RTL=BCA "
+             "equivalence by comb-cone enumeration and bounded lockstep "
+             "execution of both views",
     )
     parser.add_argument(
         "--symbolic-budget", metavar="N", type=int, default=None,
@@ -262,9 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.symbolic:
             sym = [r.symbolic for r in reports if r.symbolic is not None]
             n_mismatch = sum(len(s.mismatched_ports) for s in sym)
-            n_unknown = sum(s.unknown_unr for s in sym)
-            print(f"symbolic: {n_mismatch} mismatched port(s), "
-                  f"{n_unknown} UNKNOWN UNR verdict(s) across "
+            print(f"symbolic: {n_mismatch} mismatched port(s) across "
                   f"{len(sym)} configuration(s)")
     return _gate(has_errors, has_warnings, args.strict)
 

@@ -7,25 +7,20 @@ size of an edit:
 
 * **Per-process semantic fingerprints.**  Each registered process is
   hashed over a normalized form of its body — comments, docstrings and
-  formatting stripped; constants substituted by value exactly the way
-  the symbolic lifter does — together with its declared read/write
-  sets, sensitivity list and clock domain.  A comment-only edit, a
-  docstring edit, a reformat or a constant rename leaves the
-  fingerprint unchanged; a real body edit, a read/write-set change or
-  a sensitivity change produces a new one.
+  formatting stripped — together with its declared read/write sets,
+  sensitivity list and clock domain.  A comment-only edit, a docstring
+  edit or a reformat leaves the fingerprint unchanged; a real body edit
+  (a constant rename included), a read/write-set change or a
+  sensitivity change produces a new one.
 
 * **The conservatism ladder.**  Normalization degrades honestly, and
   every fallback can only cause extra re-runs, never a stale hit:
 
-  1. ``semantic-ir`` — the body lifts clean through
-     :mod:`repro.analysis.symbolic`; the fingerprint hashes the sorted
-     IR assignments (constants substituted, comments/formatting gone).
-  2. ``semantic-ast`` — the lift was partial/opaque but the source
-     parses; the fingerprint hashes the docstring-stripped AST dump
-     (comment/format-insensitive, but constant renames re-run).
-  3. ``raw-source`` — the source was recovered but not normalizable;
+  1. ``semantic-ast`` — the source parses; the fingerprint hashes the
+     docstring-stripped AST dump (comment/format-insensitive).
+  2. ``raw-source`` — the source was recovered but not normalizable;
      the fingerprint hashes the raw source text (any edit re-runs).
-  4. ``opaque`` — the source is unrecoverable; the *whole design* falls
+  3. ``opaque`` — the source is unrecoverable; the *whole design* falls
      back to the monolithic design hash, with a structured diagnostic.
 
   Non-process code (constructors, sequence generation, checker logic,
@@ -87,7 +82,6 @@ MANIFEST_SCHEMA = "repro.analysis/impact-manifest/v1"
 
 #: Fingerprint normalization modes, strongest first (the conservatism
 #: ladder of the module docstring).
-MODE_SEMANTIC_IR = "semantic-ir"
 MODE_SEMANTIC_AST = "semantic-ast"
 MODE_RAW_SOURCE = "raw-source"
 MODE_OPAQUE = "opaque"
@@ -180,31 +174,16 @@ def _normalized_ast_dump(info, node: ast.AST) -> str:
 
 def _normalized_body(info) -> Tuple[str, Optional[str], Optional[str]]:
     """``(mode, body text, reason)`` for one process, per the ladder."""
-    try:
-        from .symbolic.lift import lift_process
-
-        lifted = lift_process(info)
-    except Exception as exc:  # lifter crash: degrade, never guess
-        lifted = None
-        lift_reason = f"lifter failed: {type(exc).__name__}: {exc}"
-    else:
-        lift_reason = None
-    if lifted is not None and lifted.status == "clean":
-        body = "\n".join(sorted(a.render() for a in lifted.assigns))
-        return MODE_SEMANTIC_IR, body, None
+    reason = "source recovered but not normalizable"
     node = info.source_ast()
     if node is not None:
         try:
             return MODE_SEMANTIC_AST, _normalized_ast_dump(info, node), None
         except Exception as exc:
-            lift_reason = (
-                f"AST normalization failed: {type(exc).__name__}: {exc}"
-            )
+            reason = f"AST normalization failed: {type(exc).__name__}: {exc}"
     text = info.source()
     if text is not None:
-        return MODE_RAW_SOURCE, text, (
-            lift_reason or "source recovered but not normalizable"
-        )
+        return MODE_RAW_SOURCE, text, reason
     return MODE_OPAQUE, None, (
         "source unavailable (inspect.getsource failed)"
     )

@@ -178,7 +178,9 @@ def check_tie_off_conflict(ctx: AnalysisContext) -> List[Finding]:
         for writer in ctx.graph.known_writers.get(sig, []):
             if writer.kind != "comb" or writer.name in declarants:
                 continue
-            proven = _lifted_constant_drive(writer, sig.name)
+            from .symbolic.lift import closed_constant_drive
+
+            proven = closed_constant_drive(writer, sig.name)
             if proven is None or proven == declared:
                 continue
             findings.append(Finding(
@@ -195,19 +197,6 @@ def check_tie_off_conflict(ctx: AnalysisContext) -> List[Finding]:
                      "of them is wrong",
             ))
     return findings
-
-
-def _lifted_constant_drive(info, signal_name: str) -> Optional[int]:
-    """The constant ``info`` provably always drives onto the net, or
-    None when its lifted assignment is missing or not closed."""
-    from .symbolic.ir import evaluate, is_closed
-    from .symbolic.lift import lift_process
-
-    lifted = lift_process(info)
-    assign = lifted.assign_for(signal_name)
-    if assign is None or not is_closed(assign.expr):
-        return None
-    return evaluate(assign.expr, {})
 
 
 # ---------------------------------------------------------------------------

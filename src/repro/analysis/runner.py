@@ -230,10 +230,9 @@ def analyze_config(
     report, using the first analyzed view's constant facts to sharpen
     the blocking-constant messages.
 
-    With ``symbolic`` on, additionally runs the symbolic pass: lift both
-    views, prove per-port functional RTL≡BCA equivalence, and upgrade
-    the UNR report's probe-based decode verdicts with the exact
-    interval-coverage engine.  ``symbolic_budget`` caps the comb-cone
+    With ``symbolic`` on, additionally runs the symbolic pass: prove
+    per-port functional RTL≡BCA equivalence on bare harnesses of both
+    views.  ``symbolic_budget`` caps the comb-cone
     enumeration domain (None = the engine default); ``bca_bugs`` injects
     defects into the BCA harness so the detection of the bug registry
     can itself be checked.
@@ -288,7 +287,6 @@ def analyze_config(
             budget=(DEFAULT_DOMAIN_BUDGET if symbolic_budget is None
                     else symbolic_budget),
             bca_bugs=bca_bugs,
-            unr_report=result.unr,
         )
         apply_waivers(result.symbolic.findings, waivers)
     return result

@@ -1,7 +1,4 @@
-"""Symbolic process semantics: lift, prove, reach.
-
-The substrate the functional cross-view proofs and the exact UNR engine
-stand on:
+"""Symbolic process semantics: lift and prove.
 
 * :mod:`~repro.analysis.symbolic.ir` — a small bitvector expression IR
   (constants, variables, arithmetic/bit ops, comparisons, ``if/else`` as
@@ -9,26 +6,24 @@ stand on:
   translate);
 * :mod:`~repro.analysis.symbolic.lift` — the AST lifter: per registered
   process, ``inspect.getsource`` + ``ast`` → one IR assignment per
-  driven signal (a symbolic transition function for clocked processes, a
-  symbolic output function for comb processes), degrading honestly to
-  OPAQUE statements instead of guessing;
-* :mod:`~repro.analysis.symbolic.consts` — comb-constant facts proven by
-  evaluating fully-lifted closed output functions;
+  driven signal, degrading honestly to OPAQUE statements instead of
+  guessing.  :func:`~repro.analysis.symbolic.lift.closed_constant_drive`
+  is its one consumer in the analyses: the constant a comb process
+  always drives onto a net, which the lint ``dead-net`` and the
+  ``tie-off-conflict`` rules ask about;
 * :mod:`~repro.analysis.symbolic.equiv` — functional RTL≡BCA equivalence:
   pointwise comb-cone enumeration plus bounded lockstep execution of both
   views under identical stimulus, one verdict per interface port;
-* :mod:`~repro.analysis.symbolic.reach` — the exact address-interval
-  reachability engine that upgrades probe-based UNKNOWN verdicts to
-  REACHABLE (with a concrete witness vector) or UNREACHABLE (with an
-  interval-coverage proof).
+* :mod:`~repro.analysis.symbolic.report` — the per-configuration
+  ``--symbolic`` report.
 
-Everything here is reachable through ``python -m repro.analysis
+The equivalence pass is reachable through ``python -m repro.analysis
 --symbolic`` and :func:`repro.analysis.analyze_config` with
-``symbolic=True``; with the flag off none of these modules is imported
-and the analysis output stays byte-identical to the non-symbolic pass.
+``symbolic=True``.  With the flag off this package is imported only when
+a ``dead-net`` or ``tie-off-conflict`` candidate needs the lifter, and
+the analysis output carries no ``symbolic`` key.
 """
 
-from .consts import symbolic_comb_constants
 from .equiv import (
     DEFAULT_DOMAIN_BUDGET,
     PortEquivalence,
@@ -51,8 +46,14 @@ from .ir import (
     opaque_reasons,
     render,
 )
-from .lift import LiftedAssign, LiftedProcess, LiftReport, lift_process, lift_simulator
-from .reach import exact_decode_verdict, upgrade_unr_report
+from .lift import (
+    LiftedAssign,
+    LiftedProcess,
+    LiftReport,
+    closed_constant_drive,
+    lift_process,
+    lift_simulator,
+)
 from .report import SymbolicReport, run_symbolic_analysis
 
 __all__ = [
@@ -73,8 +74,8 @@ __all__ = [
     "UnOp",
     "Var",
     "check_functional_equivalence",
+    "closed_constant_drive",
     "evaluate",
-    "exact_decode_verdict",
     "free_vars",
     "is_closed",
     "lift_process",
@@ -82,6 +83,4 @@ __all__ = [
     "opaque_reasons",
     "render",
     "run_symbolic_analysis",
-    "symbolic_comb_constants",
-    "upgrade_unr_report",
 ]

@@ -44,7 +44,8 @@ from .ir import (
     Opaque,
     UnOp,
     Var,
-    free_vars,
+    evaluate,
+    is_closed,
     opaque_reasons,
     render,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "LiftedAssign",
     "LiftedProcess",
     "LiftReport",
+    "closed_constant_drive",
     "lift_process",
     "lift_simulator",
 ]
@@ -607,3 +609,15 @@ def lift_simulator(sim) -> LiftReport:
     for info in list(sim.comb_processes) + list(sim.clocked_processes):
         report.processes.append(lift_process(info))
     return report
+
+
+def closed_constant_drive(info, signal_name: str) -> Optional[int]:
+    """The constant comb process ``info`` provably always drives onto
+    ``signal_name``, or None (not a comb process, no lifted assignment
+    to the net, or one that is not closed)."""
+    if info.kind != "comb":
+        return None
+    assign = lift_process(info).assign_for(signal_name)
+    if assign is None or not is_closed(assign.expr):
+        return None
+    return evaluate(assign.expr, {})

@@ -221,8 +221,8 @@ def impact_counters(records, memo_hits: int = 0) -> Dict[str, int]:
     records (the metrics ``batch.impact`` section)."""
     counters = dict.fromkeys((
         "impact.designs", "impact.memo_hits", "impact.processes",
-        "impact.semantic_ir", "impact.semantic_ast", "impact.raw_source",
-        "impact.opaque", "impact.cone_keys", "impact.design_fallbacks"), 0)
+        "impact.semantic_ast", "impact.raw_source", "impact.opaque",
+        "impact.cone_keys", "impact.design_fallbacks"), 0)
     counters["impact.memo_hits"] = memo_hits
     for record in records:
         counters["impact.designs"] += 1

@@ -276,18 +276,21 @@ def check_dead_net(graph: DesignGraph) -> List[Finding]:
             continue
         if graph.known_readers.get(sig) or graph.wakes.get(sig):
             continue
+        # Every driver pins the net to a constant — by an explicit
+        # tie-off declaration (e.g. a BFM tying src to 0) or by a lifted
+        # output function proven closed — so it is pinned on purpose,
+        # not left dangling.
         tied = graph.tie_offs.get(sig, [])
-        if all(
-            any(w is t for t, _ in tied)
-            or _proven_constant_drive(w, sig) is not None
-            for w in writers
-        ):
-            # Every driver pins the net to a constant — by an explicit
-            # tie-off declaration (e.g. a BFM tying src to 0) or by a
-            # lifted output function proven closed.  Pinned on purpose,
-            # not left dangling.  The lift runs only for candidates that
-            # already passed the never-observed filter, so clean designs
-            # pay nothing.
+        untied = [w for w in writers if not any(w is t for t, _ in tied)]
+        if not untied:
+            continue
+        # Imported here, past the never-observed and tie-off filters:
+        # the lifter loads (and runs) only for an untied candidate, so
+        # clean designs pay nothing.
+        from ..analysis.symbolic.lift import closed_constant_drive
+
+        if all(closed_constant_drive(w, sig.name) is not None
+               for w in untied):
             continue
         names = ", ".join(sorted(w.name for w in writers))
         findings.append(
@@ -302,22 +305,6 @@ def check_dead_net(graph: DesignGraph) -> List[Finding]:
             )
         )
     return findings
-
-
-def _proven_constant_drive(info, sig: Signal):
-    """The constant ``info``'s lifted output function provably always
-    drives onto ``sig``, or None (unliftable / input-dependent / not a
-    comb process)."""
-    if info.kind != "comb":
-        return None
-    from ..analysis.symbolic.ir import evaluate, is_closed
-    from ..analysis.symbolic.lift import lift_process
-
-    lifted = lift_process(info)
-    assign = lifted.assign_for(sig.name)
-    if assign is None or not is_closed(assign.expr):
-        return None
-    return evaluate(assign.expr, {})
 
 
 # ---------------------------------------------------------------------------

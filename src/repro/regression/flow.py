@@ -242,20 +242,14 @@ class CommonVerificationFlow:
         counts = result.unr.counts() if result.unr is not None else {}
         unr_note = (
             f"; UNR: {counts.get('UNREACHABLE', 0)} bin(s) proven "
-            f"unreachable, {counts.get('UNKNOWN', 0)} unknown"
+            "unreachable"
             if counts else ""
         )
         sym_note = ""
         if self.symbolic and result.symbolic is not None:
-            sym = result.symbolic
-            upgraded = (
-                len(sym.unr_upgrade.deltas)
-                if sym.unr_upgrade is not None else 0
-            )
             sym_note = (
-                f"; symbolic: {len(sym.ports)} port(s) proven RTL=BCA "
-                f"equivalent, {upgraded} UNR verdict(s) upgraded to "
-                f"exact proofs, {sym.unknown_unr} UNKNOWN"
+                f"; symbolic: {len(result.symbolic.ports)} port(s) proven "
+                "RTL=BCA equivalent"
             )
         self._enter(
             FlowState.STATIC_ANALYSIS,

@@ -296,8 +296,7 @@ def test_index_counters_and_events(stock_index):
     assert counters["impact.design_fallbacks"] == 0
     assert counters["impact.processes"] == sum(
         counters[f"impact.{mode}"]
-        for mode in ("semantic_ir", "semantic_ast", "raw_source",
-                     "opaque"))
+        for mode in ("semantic_ast", "raw_source", "opaque"))
     assert {e["event"] for e in stock_index.events} == {
         "impact.design-key"}
     assert all(e["mode"] == "cone" for e in stock_index.events)

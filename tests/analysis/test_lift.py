@@ -7,7 +7,11 @@ from repro.analysis.symbolic.ir import (
     free_vars,
     is_closed,
 )
-from repro.analysis.symbolic.lift import lift_process, lift_simulator
+from repro.analysis.symbolic.lift import (
+    closed_constant_drive,
+    lift_process,
+    lift_simulator,
+)
 from repro.kernel import Module, Simulator
 
 
@@ -223,3 +227,35 @@ def test_equal_branches_collapse():
     expr = lifted.assign_for("t.out").expr
     assert isinstance(expr, Const)
     assert evaluate(expr, {}) == 1
+
+
+def _info(sim, name):
+    for info in sim.comb_processes + sim.clocked_processes:
+        if info.name == name:
+            return info
+    raise AssertionError(f"no process named {name}")
+
+
+def test_closed_constant_drive():
+    """The one question the lint and races rules ask of the lifter: the
+    constant a comb process always drives onto a net, or None."""
+    state = {"v": 1}
+    sim = Simulator()
+    top = Module(sim, "t")
+    clk = top.signal("clk")
+    out = top.signal("out", width=4)
+    follow = top.signal("follow")
+    hidden = top.signal("hidden")
+    reg = top.signal("reg")
+    top.comb(lambda: out.drive(2 + 3), [clk], name="tie")
+    top.comb(lambda: follow.drive(clk.value), [clk], name="follow")
+    top.comb(lambda: hidden.drive(state["v"]), [clk], name="mystery")
+    top.clocked(lambda: reg.drive(1), name="flop", reads=[clk],
+                writes=[reg])
+    sim.elaborate()
+    assert closed_constant_drive(_info(sim, "t.tie"), "t.out") == 5
+    assert closed_constant_drive(_info(sim, "t.tie"), "t.follow") is None
+    assert closed_constant_drive(_info(sim, "t.follow"), "t.follow") is None
+    assert closed_constant_drive(_info(sim, "t.mystery"), "t.hidden") is None
+    # A clocked process holds state: never a comb constant.
+    assert closed_constant_drive(_info(sim, "t.flop"), "t.reg") is None

@@ -1,13 +1,15 @@
 """Self-check: every shipped process lifts cleanly or is waived.
 
-The symbolic pass is only as strong as its coverage of the shipped code:
-a process the lifter silently degrades to OPAQUE is a process the
-equivalence and constant engines cannot see.  This suite enumerates
-every process of every full common-environment build (all matrix
-configurations, both views — node models, BFMs, memories, monitors,
-checkers, the coverage probe) and demands that each either lifts with a
-``clean`` status or matches an entry in the explicit waiver registry
-below.
+The lifter's one consumer in the analyses is per assignment: the lint
+``dead-net`` rule and the ``tie-off-conflict`` rule ask it which
+constant a comb process always drives onto a net.  A process the lifter
+silently degrades to OPAQUE is one whose constant drives those rules
+cannot see (equivalence is proven by enumeration and lockstep, which
+never lift).  This suite enumerates every process of every full
+common-environment build (all matrix configurations, both views — node
+models, BFMs, memories, monitors, checkers, the coverage probe) and
+demands that each either lifts with a ``clean`` status or matches an
+entry in the explicit waiver registry below.
 
 The registry is deliberately in the test, not in the lifter: adding an
 unliftable construct to a previously-clean process fails here until a

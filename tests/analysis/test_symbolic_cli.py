@@ -1,10 +1,10 @@
 """``--symbolic`` CLI behavior and the golden symbolic stock report.
 
 The golden file pins the complete ``--stock --symbolic`` JSON output:
-per-port equivalence verdicts, lift statistics, and the UNR upgrade
-deltas (probe reason → exact interval proof, with the structured
-witness vectors).  Any engine change that shifts a verdict, a witness or
-the serialization fails here first.
+per-port equivalence verdicts and the UNR verdicts beside them (the
+exact interval proofs of the decode bins, with their structured witness
+vectors).  Any engine change that shifts a verdict, a witness or the
+serialization fails here first.
 """
 
 import json
@@ -43,17 +43,16 @@ def test_golden_pins_verdicts_and_deltas():
         ("init0", "EQUIVALENT"), ("init1", "EQUIVALENT"),
         ("targ0", "EQUIVALENT"), ("targ1", "EQUIVALENT"),
     ]
-    upgrade = sym["unr_upgrade"]
-    assert upgrade["unknown_after"] == 0
-    assert {d["bin"] for d in upgrade["deltas"]} == {
-        "decode:error", "response:error",
-    }
-    for delta in upgrade["deltas"]:
-        assert "interval" in delta["new_reason"]
-        assert delta["witness"]["address"] == "0x2000"
-    # The upgraded verdicts land on the UNR bins themselves too.
-    unr_bins = {f"{v['group']}:{v['bin']}": v
-                for v in data["configs"][0]["unr"]["verdicts"]}
+    for key in ("lift", "unr_upgrade"):
+        assert key not in sym
+    assert all("comb_symbolic" not in p for p in sym["ports"])
+    unr = data["configs"][0]["unr"]
+    assert "unknown" not in unr
+    unr_bins = {f"{v['group']}:{v['bin']}": v for v in unr["verdicts"]}
+    for key in ("decode:error", "response:error"):
+        assert unr_bins[key]["verdict"] == "REACHABLE"
+        assert "interval" in unr_bins[key]["reason"]
+        assert unr_bins[key]["witness"]["address"] == "0x2000"
     assert unr_bins["decode:error"]["witness"]["opcode"] == "LOAD4"
 
 
@@ -61,8 +60,8 @@ def test_symbolic_text_mode_prints_summary(capsys):
     assert main(["--stock", "--symbolic"]) == 0
     out = capsys.readouterr().out
     assert "symbolic analysis" in out
-    assert "0 mismatched port(s)" in out
-    assert "0 UNKNOWN UNR verdict(s)" in out
+    assert "symbolic: 0 mismatched port(s) across 1 configuration(s)" in out
+    assert "UNKNOWN" not in out
 
 
 def test_without_symbolic_flag_output_has_no_symbolic_key(capsys):
@@ -70,8 +69,9 @@ def test_without_symbolic_flag_output_has_no_symbolic_key(capsys):
     data = json.loads(capsys.readouterr().out)
     config = data["configs"][0]
     assert "symbolic" not in config
-    for verdict in config["unr"]["verdicts"]:
-        assert "witness" not in verdict
+    # The UNR section is the same with or without the flag.
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        assert config["unr"] == json.load(handle)["configs"][0]["unr"]
 
 
 def test_inject_bug_fails_the_gate(capsys):

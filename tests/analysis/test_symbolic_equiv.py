@@ -1,7 +1,7 @@
 """Functional RTL≡BCA equivalence: clean proofs and bug detection.
 
 Two engines back the per-port verdicts: exhaustive small-domain
-enumeration of the lifted comb cones (skipped with an honest diagnostic
+enumeration of the comb cones (skipped with an honest diagnostic
 past the budget) and deterministic lockstep execution of targeted
 scenarios on both views.  The shipped models must prove EQUIVALENT on
 every port; every registered injectable BCA bug must be caught
@@ -29,11 +29,10 @@ def _first(predicate):
 
 
 def test_stock_node_proves_equivalent_on_every_port():
-    ports, findings, lifted = check_functional_equivalence(NodeConfig())
+    ports, findings = check_functional_equivalence(NodeConfig())
     assert ports
     assert all(p.verdict == EQUIVALENT for p in ports)
     assert not [f for f in findings if f.rule == "xview-function"]
-    assert set(lifted) == {"rtl", "bca"}
     # Both engines actually ran: enumeration points and lockstep cycles.
     assert any(p.comb_points > 0 for p in ports)
     assert all(p.lockstep_cycles > 0 for p in ports)

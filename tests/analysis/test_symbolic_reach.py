@@ -1,26 +1,20 @@
-"""Exact interval-coverage UNR engine: zero UNKNOWN, concrete witnesses.
+"""Exact decode reachability: interval coverage, zero UNKNOWN, witnesses.
 
-The probe-based engine deliberately degrades to UNKNOWN when every
-probed address decodes (its probes cannot speak for the full 2^32
-space).  The exact engine replaces the probe argument with an interval
-union over the resolved address map: either the union leaves a gap (a
-concrete witness address, recorded as a structured stimulus vector) or
-it provably covers the whole space (an UNREACHABLE proof naming the
-region count).  There is no third verdict.
+The UNR pass decides the decode-error bins with an interval union over
+the resolved address map: either the union leaves a gap (a concrete
+witness address, recorded as a structured stimulus vector) or it
+provably covers the whole space (an UNREACHABLE proof naming the region
+count).  There is no third verdict.
 """
 
 import pytest
 
-from repro.analysis.symbolic.reach import (
-    coverage_gaps,
-    exact_decode_verdict,
-    upgrade_unr_report,
-)
 from repro.analysis.unr import (
     REACHABLE,
-    UNKNOWN,
     UNREACHABLE,
     analyze_unreachability,
+    coverage_gaps,
+    exact_decode_verdict,
 )
 from repro.regression.configs import configuration_matrix
 from repro.stbus import AddressMap, NodeConfig, Region
@@ -51,18 +45,24 @@ def test_full_coverage_map_is_proven_unreachable():
 
 
 def test_path_masked_region_stays_reachable():
-    """Full address coverage does not kill the bin when some region is
-    reachable by no initiator: a request there still errors."""
+    """Full address coverage does not kill the bin when the mask forbids
+    some region's target to some initiator: the nodes route that
+    initiator's request there to the error engine."""
     config = NodeConfig(
         architecture=Architecture.PARTIAL_CROSSBAR,
         connectivity=frozenset({(0, 0), (1, 0), (1, 1)}),
         address_map=FULL_COVER,
         name="masked",
     )
-    # Both targets are reachable by *someone*, so the config is legal,
-    # but nothing masks a region entirely here -> exact proof holds.
-    verdict, _, _ = exact_decode_verdict(config)
-    assert verdict == UNREACHABLE
+    verdict, reason, witness = exact_decode_verdict(config)
+    assert verdict == REACHABLE
+    assert "forbids to init0" in reason
+    # The witness is init0 addressing targ1's region.
+    assert witness["initiator"] == 0
+    address = int(witness["address"], 16)
+    target = config.resolved_map.decode(address)
+    assert target == 1
+    assert not config.path_allowed(witness["initiator"], target)
 
 
 def test_coverage_gaps_complement():
@@ -76,39 +76,21 @@ def test_coverage_gaps_complement():
     assert not coverage_gaps(FULL_COVER)
 
 
-def test_upgrade_turns_probe_unknown_into_exact_proof():
-    """The showcase: a fully-covered map defeats the probe engine
-    (UNKNOWN) but not the interval engine (UNREACHABLE)."""
-    config = NodeConfig(address_map=FULL_COVER, name="cover")
-    report = analyze_unreachability(config)
-    before = report.verdict_for("decode", "error")
-    assert before.verdict == UNKNOWN  # the honest probe-based refusal
-    upgrade = upgrade_unr_report(report, config)
-    after = report.verdict_for("decode", "error")
-    assert after.verdict == UNREACHABLE
-    assert upgrade.unknown_before == 2  # decode:error + response:error
-    assert upgrade.unknown_after == 0
-    assert upgrade.unknown_free
-    keys = {d.bin_key for d in upgrade.deltas}
-    assert keys == {"decode:error", "response:error"}
-    for delta in upgrade.deltas:
-        assert delta.old_verdict == UNKNOWN
-        assert delta.new_verdict == UNREACHABLE
-
-
-def test_upgrade_attaches_witness_vectors_to_reachable_bins():
+def test_reachable_decode_bins_carry_witness_vectors():
     config = NodeConfig()
     report = analyze_unreachability(config)
-    upgrade = upgrade_unr_report(report, config)
-    assert upgrade.unknown_after == 0
-    verdict = report.verdict_for("decode", "error")
-    assert verdict.verdict == REACHABLE
-    assert verdict.witness is not None
-    assert verdict.witness["expect"]
-    # The witness address must be bus-aligned legal stimulus.
-    assert int(verdict.witness["address"], 16) % config.bus_bytes == 0
-    # And serialization now carries it.
-    assert "witness" in verdict.to_dict()
+    for key in ("decode", "response"):
+        verdict = report.verdict_for(key, "error")
+        assert verdict.verdict == REACHABLE
+        assert "interval union" in verdict.reason
+        assert verdict.witness is not None
+        assert verdict.witness["expect"]
+        # The witness address must be bus-aligned legal stimulus.
+        assert int(verdict.witness["address"], 16) % config.bus_bytes == 0
+        # And serialization carries it.
+        assert verdict.to_dict()["witness"] == verdict.witness
+    # Bins decided without an address carry none.
+    assert "witness" not in report.verdict_for("decode", "hit").to_dict()
 
 
 @pytest.mark.parametrize(
@@ -116,17 +98,9 @@ def test_upgrade_attaches_witness_vectors_to_reachable_bins():
     ids=[c.name for c in configuration_matrix(small=True)],
 )
 def test_matrix_is_unknown_free_after_upgrade(config):
+    """Every verdict of the single pass is REACHABLE or UNREACHABLE."""
     report = analyze_unreachability(config)
-    upgrade = upgrade_unr_report(report, config)
-    assert upgrade.unknown_after == 0
-    assert report.counts()[UNKNOWN] == 0
-
-
-def test_upgrade_serializes():
-    config = NodeConfig()
-    report = analyze_unreachability(config)
-    upgrade = upgrade_unr_report(report, config)
-    data = upgrade.to_dict()
-    assert data["unknown_before"] == upgrade.unknown_before
-    assert data["unknown_after"] == 0
-    assert len(data["deltas"]) == len(upgrade.deltas)
+    assert {v.verdict for v in report.verdicts} <= {REACHABLE, UNREACHABLE}
+    verdict, reason, _ = exact_decode_verdict(config)
+    assert report.verdict_for("decode", "error").verdict == verdict
+    assert report.verdict_for("response", "error").reason == reason

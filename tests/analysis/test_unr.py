@@ -1,13 +1,18 @@
 """Coverage-unreachability verdicts against the full bin universe."""
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.analysis.unr import (
     REACHABLE,
-    UNKNOWN,
     UNREACHABLE,
     analyze_unreachability,
 )
 from repro.catg.coverage import build_node_coverage
 from repro.stbus import NodeConfig, ProtocolType
+from repro.stbus.config import Architecture
 from repro.stbus.routing import AddressMap, Region
 
 
@@ -95,22 +100,54 @@ def test_programming_port_present_makes_bins_reachable():
     assert verdict.in_model
 
 
-def test_fully_mapped_address_space_degrades_to_unknown():
-    # One region covering all 2^32 addresses: every probe decodes, so the
-    # engine cannot prove decode errors unreachable NOR find a witness —
-    # the documented conservative UNKNOWN.
+def test_fully_mapped_address_space_is_proven_unreachable():
+    # One region covering all 2^32 addresses, reachable by every
+    # initiator: the interval engine proves no address can decode to an
+    # error in the single pass, and since both error bins stay in the
+    # pruned model, each becomes an unr-model-unreachable finding.
     config = NodeConfig(
         n_targets=1,
         address_map=AddressMap([Region(0, 1 << 32, 0)]),
         name="fullmap",
     )
     report = analyze_unreachability(config)
-    verdict = _verdict(report, "decode", "error")
-    assert verdict.verdict == UNKNOWN
-    assert "conservative" in verdict.reason
-    assert _verdict(report, "response", "error").verdict == UNKNOWN
-    # UNKNOWN in-model bins are NOT findings (only proven-unreachable are).
-    assert report.findings() == []
+    for group in ("decode", "response"):
+        verdict = _verdict(report, group, "error")
+        assert verdict.verdict == UNREACHABLE
+        assert "interval-coverage proof" in verdict.reason
+        assert "1 region(s)" in verdict.reason
+        assert verdict.witness is None
+        assert verdict.in_model
+    assert set(report.counts()) == {REACHABLE, UNREACHABLE}
+    findings = report.findings()
+    assert [f.rule for f in findings] == ["unr-model-unreachable"] * 2
+    assert {f.process for f in findings} == {
+        "coverage:response:error", "coverage:decode:error",
+    }
+    assert "unknown" not in report.to_dict()
+
+
+def test_fully_mapped_partial_crossbar_has_no_model_bug():
+    # The map covers all 2^32 addresses, but init0 may not reach targ1:
+    # init0 addressing targ1's region is a decode error in both nodes
+    # and in the coverage collector, so the error bins are reachable.
+    config = NodeConfig(
+        architecture=Architecture.PARTIAL_CROSSBAR,
+        connectivity=frozenset({(0, 0), (1, 0), (1, 1)}),
+        address_map=AddressMap([
+            Region(base=0, size=1 << 31, target=0),
+            Region(base=1 << 31, size=1 << 31, target=1),
+        ]),
+        name="masked",
+    )
+    report = analyze_unreachability(config)
+    for group in ("decode", "response"):
+        verdict = _verdict(report, group, "error")
+        assert verdict.verdict == REACHABLE
+        assert verdict.witness["initiator"] == 0
+    assert _verdict(report, "path", "init0->targ1").verdict == UNREACHABLE
+    assert not [f for f in report.findings()
+                if f.rule == "unr-model-unreachable"]
 
 
 def test_render_and_dict_roundtrip():
@@ -137,3 +174,20 @@ def test_constants_sharpen_programming_verdict():
     constants = derive_constants(DesignGraph.from_simulator(env.sim))
     report = analyze_unreachability(config, constants=constants)
     assert _verdict(report, "programming", "write").verdict == UNREACHABLE
+
+
+def test_plain_pass_does_not_import_the_symbolic_package():
+    """The exact decode engine lives in ``unr`` itself: a UNR verdict
+    never loads :mod:`repro.analysis.symbolic`."""
+    code = (
+        "import sys\n"
+        "from repro.analysis.unr import analyze_unreachability\n"
+        "from repro.stbus import NodeConfig\n"
+        "analyze_unreachability(NodeConfig())\n"
+        "print('repro.analysis.symbolic' in sys.modules)\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.strip() == "False"
